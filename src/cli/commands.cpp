@@ -1,5 +1,6 @@
 #include "cli/commands.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <stdexcept>
@@ -53,6 +54,23 @@ cloud::PlacementPolicy parse_policy(const std::string& name) {
   throw std::invalid_argument("unknown --cloud-policy '" + name + "' (greedy|energy)");
 }
 
+/// True for a whole number in [lo, 2^53], the range where every integer is
+/// exactly representable; NaN and infinities fail. Checked before any cast,
+/// since converting a non-finite or out-of-range double is undefined.
+bool is_whole(double value, double lo) {
+  return value >= lo && value <= 9007199254740992.0 && value == std::floor(value);
+}
+
+/// A positive count given as a number ("1e6" reads as 1000000); rejects
+/// fractions, NaN and values past 2^53.
+std::size_t get_count(const Args& args, const std::string& key, double fallback) {
+  const double value = args.get_double(key, fallback);
+  if (!is_whole(value, 1.0)) {
+    throw std::invalid_argument("--" + key + " must be a positive whole count");
+  }
+  return static_cast<std::size_t>(value);
+}
+
 /// Parse "--brownout start,duration,depth" into a scripted regional-brownout
 /// episode (depth = capacity fraction lost, in (0, 1]).
 sim::FaultEpisode parse_brownout(const Args& args) {
@@ -80,9 +98,9 @@ fleet::RegionEpisode parse_region_brownout(const Args& args, std::size_t num_reg
         "--region-brownout expects region,start,duration,depth (region index, "
         "seconds, seconds, backhaul throughput fraction lost in (0,1))");
   }
-  if (!(fields[0] >= 0.0) || fields[0] >= static_cast<double>(num_regions)) {
+  if (!is_whole(fields[0], 0.0) || fields[0] >= static_cast<double>(num_regions)) {
     throw std::invalid_argument(
-        "--region-brownout region index must be in [0, --regions)");
+        "--region-brownout region index must be a whole number in [0, --regions)");
   }
   fleet::RegionEpisode re;
   re.region = static_cast<std::uint32_t>(fields[0]);
@@ -103,10 +121,10 @@ struct Rig {
   std::size_t tiers = 2;
   /// Fog-node performance model for --tiers 3; heap-held so TierSpec's
   /// non-owning pointer stays valid across Rig moves.
-  std::shared_ptr<perf::RooflinePredictor> fog_predictor;
-  std::string fog_name;
+  std::shared_ptr<perf::RooflinePredictor> fog_predictor{};
+  std::string fog_name{};
   /// Pricing throughputs, one per hop (radio first). {tu} for two-tier.
-  std::vector<double> hop_tu;
+  std::vector<double> hop_tu{};
 
   /// Per-command --tu defaults differ (search prices at the paper's 3 Mbps,
   /// the serving commands at 10), so the caller passes its own.
@@ -534,12 +552,8 @@ int cmd_fleet(const Args& args) {
   const core::DeploymentPlan plan = evaluator.compile(arch);
 
   fleet::FleetConfig config;
-  const long long devices = static_cast<long long>(args.get_double("devices", 100000));
-  const long long steps = static_cast<long long>(args.get_double("steps", 64));
-  if (devices < 1) throw std::invalid_argument("--devices must be a positive count");
-  if (steps < 1) throw std::invalid_argument("--steps must be a positive count");
-  config.devices = static_cast<std::size_t>(devices);
-  config.steps = static_cast<std::size_t>(steps);
+  config.devices = get_count(args, "devices", 100000);
+  config.steps = get_count(args, "steps", 64);
   config.step_s = args.get_double("step-s", 300.0);
   config.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   config.hysteresis_margin = args.get_double("margin", 0.05);
@@ -696,12 +710,8 @@ int cmd_cloud(const Args& args) {
   const core::DeploymentPlan plan = evaluator.compile(arch);
 
   fleet::FleetConfig config;
-  const long long devices = static_cast<long long>(args.get_double("devices", 20000));
-  const long long steps = static_cast<long long>(args.get_double("steps", 48));
-  if (devices < 1) throw std::invalid_argument("--devices must be a positive count");
-  if (steps < 1) throw std::invalid_argument("--steps must be a positive count");
-  config.devices = static_cast<std::size_t>(devices);
-  config.steps = static_cast<std::size_t>(steps);
+  config.devices = get_count(args, "devices", 20000);
+  config.steps = get_count(args, "steps", 48);
   config.step_s = args.get_double("step-s", 60.0);
   config.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   config.device_qps = args.get_double("qps", 1.0);

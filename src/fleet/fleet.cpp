@@ -313,18 +313,22 @@ void FleetEngine::validate() const {
   if (plan_.num_options() == 0) throw std::invalid_argument("FleetEngine: empty plan");
   if (config_.devices == 0) throw std::invalid_argument("FleetEngine: devices must be > 0");
   if (config_.steps == 0) throw std::invalid_argument("FleetEngine: steps must be > 0");
-  if (config_.step_s <= 0.0) throw std::invalid_argument("FleetEngine: step_s must be > 0");
-  if (config_.device_qps <= 0.0) {
-    throw std::invalid_argument("FleetEngine: device_qps must be > 0");
+  // Range checks are written so that NaN fails them.
+  const double inf = std::numeric_limits<double>::infinity();
+  if (!(config_.step_s > 0.0 && config_.step_s < inf)) {
+    throw std::invalid_argument("FleetEngine: step_s must be finite and > 0");
   }
-  if (config_.hysteresis_margin < 0.0) {
-    throw std::invalid_argument("FleetEngine: negative hysteresis margin");
+  if (!(config_.device_qps > 0.0 && config_.device_qps < inf)) {
+    throw std::invalid_argument("FleetEngine: device_qps must be finite and > 0");
   }
-  if (config_.tu_min <= 0.0 || config_.tu_max <= config_.tu_min) {
-    throw std::invalid_argument("FleetEngine: need 0 < tu_min < tu_max");
+  if (!(config_.hysteresis_margin >= 0.0 && config_.hysteresis_margin < inf)) {
+    throw std::invalid_argument("FleetEngine: hysteresis_margin must be finite and >= 0");
   }
-  if (config_.sla_ms < 0.0) {
-    throw std::invalid_argument("FleetEngine: sla_ms must be >= 0");
+  if (!(config_.tu_min > 0.0 && config_.tu_max > config_.tu_min && config_.tu_max < inf)) {
+    throw std::invalid_argument("FleetEngine: need 0 < tu_min < tu_max, both finite");
+  }
+  if (!(config_.sla_ms >= 0.0 && config_.sla_ms < inf)) {
+    throw std::invalid_argument("FleetEngine: sla_ms must be finite and >= 0");
   }
   if (config_.cloud.has_value()) {
     cloud::MachinePool validate_pool(*config_.cloud);  // throws on bad knobs

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <random>
 #include <stdexcept>
 
@@ -15,41 +16,45 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+// Every range check below is written so that NaN fails it.
 void validate_episode(const FaultEpisode& e) {
   if (!std::isfinite(e.start_s) || !std::isfinite(e.end_s) || e.start_s < 0.0 ||
       e.end_s <= e.start_s) {
     throw std::invalid_argument("FaultSchedule: episode needs 0 <= start < end");
   }
+  const double m = e.magnitude;
   switch (e.fault) {
     case FaultClass::kLinkOutage:
-      if (e.magnitude <= 0.0 || e.magnitude > 1.0) {
+      if (!(m > 0.0 && m <= 1.0)) {
         throw std::invalid_argument("FaultSchedule: link-outage depth must be in (0,1]");
       }
       break;
     case FaultClass::kRttSpike:
-      if (e.magnitude < 0.0) {
-        throw std::invalid_argument("FaultSchedule: RTT spike must be non-negative ms");
+      if (!(m >= 0.0 && m < kInf)) {
+        throw std::invalid_argument(
+            "FaultSchedule: RTT spike must be finite, non-negative ms");
       }
       break;
     case FaultClass::kEdgeSlowdown:
-      if (e.magnitude < 1.0) {
-        throw std::invalid_argument("FaultSchedule: edge slowdown factor must be >= 1");
+      if (!(m >= 1.0 && m < kInf)) {
+        throw std::invalid_argument(
+            "FaultSchedule: edge slowdown factor must be finite and >= 1");
       }
       break;
     case FaultClass::kMachineFailure:
-      if (e.magnitude <= 0.0 || e.magnitude > 1.0) {
+      if (!(m > 0.0 && m <= 1.0)) {
         throw std::invalid_argument(
             "FaultSchedule: machine-failure fraction must be in (0,1]");
       }
       break;
     case FaultClass::kRegionalBrownout:
-      if (e.magnitude <= 0.0 || e.magnitude > 1.0) {
+      if (!(m > 0.0 && m <= 1.0)) {
         throw std::invalid_argument(
             "FaultSchedule: brownout depth must be in (0,1]");
       }
       break;
     case FaultClass::kBackhaulBrownout:
-      if (e.magnitude <= 0.0 || e.magnitude >= 1.0) {
+      if (!(m > 0.0 && m < 1.0)) {
         throw std::invalid_argument(
             "FaultSchedule: backhaul-brownout depth must be in (0,1) — use a "
             "backhaul outage for a full loss");
@@ -66,7 +71,7 @@ void validate_episode(const FaultEpisode& e) {
       }
       break;  // magnitude unused
     case FaultClass::kFogSiteFailure:
-      if (e.magnitude <= 0.0 || e.magnitude > 1.0) {
+      if (!(m > 0.0 && m <= 1.0)) {
         throw std::invalid_argument(
             "FaultSchedule: fog-site failure fraction must be in (0,1]");
       }
@@ -104,6 +109,82 @@ FaultSchedule::FaultSchedule(std::vector<FaultEpisode> episodes)
 
 namespace {
 
+/// std::mt19937_64 with lazy seeding: the same output sequence, bit for bit,
+/// built for the short streams of per-device fault classes (a few draws
+/// each). The reference engine writes all 312 seed words and twists all of
+/// them before its first output. Yet output k < 156 is the tempered twist
+/// of seed words k, k + 1 and k + 156 alone, since the first half of the
+/// twist reads only words it has not yet overwritten. So the prefix walks
+/// two cursors along the seeding recurrence, one at word k and one at word
+/// k + 156: a short stream costs ~157 chained multiplies, allocates nothing
+/// and reads no word it has not written. Output 156 needs the twisted first
+/// half, so from there on the reference engine, advanced past the prefix,
+/// serves the stream.
+class LazyMt19937_64 {
+ public:
+  using Reference = std::mt19937_64;
+  using result_type = Reference::result_type;
+  static constexpr result_type min() { return Reference::min(); }
+  static constexpr result_type max() { return Reference::max(); }
+
+  explicit LazyMt19937_64(result_type seed)
+      : seed_(seed), lo_(seed), lo_next_(seed_word(seed, 1)), hi_(lo_next_) {
+    for (std::size_t i = 2; i <= kPrefix; ++i) hi_ = seed_word(hi_, i);
+  }
+
+  result_type operator()() {
+    if (drawn_ < kPrefix) return temper(prefix_word());
+    if (!tail_) {
+      tail_.emplace(seed_);
+      tail_->discard(kPrefix);
+    }
+    return (*tail_)();
+  }
+
+ private:
+  static constexpr std::size_t kPrefix =
+      Reference::state_size - Reference::shift_size;  // 156
+  static constexpr result_type kUpper = ~result_type{0} << Reference::mask_bits;
+
+  /// Seed word i from word i - 1 (the standard's initialization recurrence).
+  static result_type seed_word(result_type prev, std::size_t i) {
+    return Reference::initialization_multiplier *
+               (prev ^ (prev >> (Reference::word_size - 2))) +
+           i;
+  }
+
+  static result_type temper(result_type z) {
+    z ^= (z >> Reference::tempering_u) & Reference::tempering_d;
+    z ^= (z << Reference::tempering_s) & Reference::tempering_b;
+    z ^= (z << Reference::tempering_t) & Reference::tempering_c;
+    return z ^ (z >> Reference::tempering_l);
+  }
+
+  /// Twisted word `drawn_` from seed words drawn_, drawn_ + 1 and
+  /// drawn_ + kPrefix; then steps the cursors while the prefix lasts.
+  result_type prefix_word() {
+    const result_type y = (lo_ & kUpper) | (lo_next_ & ~kUpper);
+    const result_type word = hi_ ^ (y >> 1) ^ ((y & 1) ? Reference::xor_mask : 0);
+    if (++drawn_ < kPrefix) {
+      lo_ = lo_next_;
+      lo_next_ = seed_word(lo_next_, drawn_ + 1);
+      hi_ = seed_word(hi_, drawn_ + kPrefix);
+    }
+    return word;
+  }
+
+  result_type seed_;
+  result_type lo_;       // seed word drawn_
+  result_type lo_next_;  // seed word drawn_ + 1
+  result_type hi_;       // seed word drawn_ + kPrefix
+  std::size_t drawn_ = 0;
+  std::optional<Reference> tail_;
+};
+
+// NaN fails both.
+bool valid_rate(double hz) { return hz >= 0.0 && hz < kInf; }
+bool valid_mean(double s) { return s > 0.0 && s < kInf; }
+
 /// Shared episode-generation core: `base_seed` roots every class substream.
 /// generate() passes config.seed through unchanged (frozen legacy path);
 /// generate_for_device() passes the fleet-mixed per-device seed.
@@ -112,19 +193,25 @@ FaultSchedule generate_with_base(const FaultScheduleConfig& config,
   if (config.horizon_s <= 0.0 || !std::isfinite(config.horizon_s)) {
     throw std::invalid_argument("FaultSchedule::generate: horizon must be positive");
   }
-  if (config.link_outage_rate_hz < 0.0 || config.cloud_outage_rate_hz < 0.0 ||
-      config.rtt_spike_rate_hz < 0.0 || config.edge_slowdown_rate_hz < 0.0 ||
-      config.machine_failure_rate_hz < 0.0 || config.brownout_rate_hz < 0.0 ||
-      config.backhaul_brownout_rate_hz < 0.0 ||
-      config.backhaul_outage_rate_hz < 0.0 || config.fog_failure_rate_hz < 0.0) {
-    throw std::invalid_argument("FaultSchedule::generate: negative episode rate");
+  for (const double hz :
+       {config.link_outage_rate_hz, config.cloud_outage_rate_hz, config.rtt_spike_rate_hz,
+        config.edge_slowdown_rate_hz, config.machine_failure_rate_hz,
+        config.brownout_rate_hz, config.backhaul_brownout_rate_hz,
+        config.backhaul_outage_rate_hz, config.fog_failure_rate_hz}) {
+    if (!valid_rate(hz)) {
+      throw std::invalid_argument(
+          "FaultSchedule::generate: episode rates must be finite and >= 0");
+    }
   }
-  if (config.link_outage_mean_s <= 0.0 || config.cloud_outage_mean_s <= 0.0 ||
-      config.rtt_spike_mean_s <= 0.0 || config.edge_slowdown_mean_s <= 0.0 ||
-      config.machine_failure_mean_s <= 0.0 || config.brownout_mean_s <= 0.0 ||
-      config.backhaul_brownout_mean_s <= 0.0 ||
-      config.backhaul_outage_mean_s <= 0.0 || config.fog_failure_mean_s <= 0.0) {
-    throw std::invalid_argument("FaultSchedule::generate: episode means must be positive");
+  for (const double s :
+       {config.link_outage_mean_s, config.cloud_outage_mean_s, config.rtt_spike_mean_s,
+        config.edge_slowdown_mean_s, config.machine_failure_mean_s, config.brownout_mean_s,
+        config.backhaul_brownout_mean_s, config.backhaul_outage_mean_s,
+        config.fog_failure_mean_s}) {
+    if (!valid_mean(s)) {
+      throw std::invalid_argument(
+          "FaultSchedule::generate: episode means must be finite and positive");
+    }
   }
   if ((config.backhaul_brownout_rate_hz > 0.0 ||
        config.backhaul_outage_rate_hz > 0.0) &&
@@ -133,24 +220,25 @@ FaultSchedule generate_with_base(const FaultScheduleConfig& config,
         "FaultSchedule::generate: backhaul classes need backhaul_hop >= 1");
   }
   for (const HopFaultConfig& hop : config.extra_hops) {
-    if (hop.outage_rate_hz < 0.0 || hop.rtt_spike_rate_hz < 0.0) {
-      throw std::invalid_argument("FaultSchedule::generate: negative episode rate");
+    if (!valid_rate(hop.outage_rate_hz) || !valid_rate(hop.rtt_spike_rate_hz)) {
+      throw std::invalid_argument(
+          "FaultSchedule::generate: episode rates must be finite and >= 0");
     }
-    if (hop.outage_mean_s <= 0.0 || hop.rtt_spike_mean_s <= 0.0) {
-      throw std::invalid_argument("FaultSchedule::generate: episode means must be positive");
+    if (!valid_mean(hop.outage_mean_s) || !valid_mean(hop.rtt_spike_mean_s)) {
+      throw std::invalid_argument(
+          "FaultSchedule::generate: episode means must be finite and positive");
     }
   }
   std::vector<FaultEpisode> episodes;
 
   // One independent RNG substream per class (splitmix64-mixed class salt):
   // enabling or tuning one class never perturbs another's episodes.
-  const auto substream = [&](std::uint64_t salt) {
-    return std::mt19937_64(par::substream_seed(base_seed, salt));
-  };
   const auto renew = [&](FaultClass fault, double rate_hz, double mean_s,
                          double magnitude, std::uint64_t salt, std::size_t hop) {
     if (rate_hz <= 0.0) return;
-    std::mt19937_64 rng = substream(salt);
+    // A bad magnitude throws even when the stream draws no episode.
+    validate_episode({fault, 0.0, 1.0, magnitude, hop});
+    LazyMt19937_64 rng(par::substream_seed(base_seed, salt));
     std::exponential_distribution<double> gap(rate_hz);
     std::exponential_distribution<double> duration(1.0 / mean_s);
     // Renewal process: episodes within a class never overlap.

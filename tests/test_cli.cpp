@@ -107,6 +107,30 @@ TEST(Commands, BadOptionValueIsUserError) {
   EXPECT_EQ(run_command(parse({"simulate", "--policy", "hope"})), 1);
   // Unknown option name is caught by expect_known.
   EXPECT_EQ(run_command(parse({"evaluate", "--archh", "alexnet"})), 1);
+  // Counts are whole and finite: checked before any cast to an integer.
+  for (const char* bad : {"2.5", "nan", "inf", "-3", "1e30"}) {
+    EXPECT_EQ(run_command(parse({"fleet", "--devices", bad, "--steps", "4"})), 1) << bad;
+    EXPECT_EQ(run_command(parse({"fleet", "--devices", "1000", "--steps", bad})), 1) << bad;
+    EXPECT_EQ(run_command(parse({"cloud", "--devices", bad, "--steps", "4"})), 1) << bad;
+    EXPECT_EQ(run_command(parse({"cloud", "--devices", "1000", "--steps", bad})), 1) << bad;
+  }
+  // NaN knobs fail instead of writing NaN rows or being dropped.
+  EXPECT_EQ(run_command(parse({"fleet", "--devices", "1000", "--steps", "4", "--step-s",
+                               "nan"})),
+            1);
+  EXPECT_EQ(run_command(parse({"fleet", "--devices", "1000", "--steps", "4", "--qps",
+                               "nan"})),
+            1);
+  EXPECT_EQ(run_command(parse({"fleet", "--arch", "vgg16", "--cloud-machines", "4",
+                               "--brownout", "600,1200,nan"})),
+            1);
+  for (const char* episode : {"1,300,800,nan", "1.7,300,800,0.5", "nan,300,800,0.5"}) {
+    EXPECT_EQ(run_command(parse({"fleet", "--arch", "vgg16", "--tiers", "3", "--hop-bw",
+                                 "4,40", "--devices", "1000", "--steps", "4", "--regions",
+                                 "4", "--region-brownout", episode})),
+              1)
+        << episode;
+  }
 }
 
 TEST(Commands, EvaluateRuns) {

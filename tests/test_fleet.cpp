@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <limits>
 #include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -450,6 +451,27 @@ TEST(FleetEngine, Validation) {
   config = fleet::FleetConfig{};
   config.hysteresis_margin = -0.1;
   EXPECT_THROW(fleet::FleetEngine(plan, config), std::invalid_argument);
+
+  // NaN and infinity fail every real-valued knob.
+  using Knob = double fleet::FleetConfig::*;
+  for (const Knob knob : {&fleet::FleetConfig::step_s, &fleet::FleetConfig::device_qps,
+                          &fleet::FleetConfig::hysteresis_margin, &fleet::FleetConfig::sla_ms,
+                          &fleet::FleetConfig::tu_min, &fleet::FleetConfig::tu_max}) {
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+      config = fleet::FleetConfig{};
+      config.*knob = bad;
+      EXPECT_THROW(fleet::FleetEngine(plan, config), std::invalid_argument) << bad;
+    }
+  }
+  try {
+    config = fleet::FleetConfig{};
+    config.step_s = std::numeric_limits<double>::quiet_NaN();
+    fleet::FleetEngine engine(plan, config);
+    FAIL() << "expected a throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("step_s"), std::string::npos) << e.what();
+  }
 }
 
 // A fleet pushed through a scripted regional brownout: a healthy pool with

@@ -1,11 +1,17 @@
 // Tests for the discrete-event edge-cloud simulator.
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <random>
+#include <set>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "dnn/presets.hpp"
 #include "par/runtime.hpp"
+#include "par/substream.hpp"
 #include "perf/predictor.hpp"
 #include "sim/battery.hpp"
 #include "sim/fault.hpp"
@@ -446,6 +452,174 @@ TEST(FaultSchedule, GenerationIsDeterministicAndClassIndependent) {
   }
 }
 
+// Episode generation on std::mt19937_64 as it stood before the lazily seeded
+// engine, frozen: every class, salt and draw in the same order. The oracle
+// every generated schedule must match field for field. Appends each
+// stream's number of engine draws to `draws`.
+std::vector<FaultEpisode> reference_episodes(const FaultScheduleConfig& config,
+                                             std::uint64_t base_seed,
+                                             std::vector<std::size_t>& draws) {
+  std::vector<FaultEpisode> episodes;
+  const auto renew = [&](FaultClass fault, double rate_hz, double mean_s,
+                         double magnitude, std::uint64_t salt, std::size_t hop) {
+    if (rate_hz <= 0.0) return;
+    std::mt19937_64 rng(par::substream_seed(base_seed, salt));
+    std::exponential_distribution<double> gap(rate_hz);
+    std::exponential_distribution<double> duration(1.0 / mean_s);
+    double t = gap(rng);
+    std::size_t n = 1;
+    while (t < config.horizon_s) {
+      const double d = duration(rng);
+      episodes.push_back({fault, t, t + d, magnitude, hop});
+      t += d + gap(rng);
+      n += 2;
+    }
+    draws.push_back(n);
+  };
+  renew(FaultClass::kLinkOutage, config.link_outage_rate_hz, config.link_outage_mean_s,
+        config.link_outage_depth, 0x10c4, 0);
+  renew(FaultClass::kCloudOutage, config.cloud_outage_rate_hz, config.cloud_outage_mean_s,
+        0.0, 0x20c4, 0);
+  renew(FaultClass::kRttSpike, config.rtt_spike_rate_hz, config.rtt_spike_mean_s,
+        config.rtt_spike_extra_ms, 0x30c4, 0);
+  renew(FaultClass::kEdgeSlowdown, config.edge_slowdown_rate_hz,
+        config.edge_slowdown_mean_s, config.edge_slowdown_factor, 0x40c4, 0);
+  renew(FaultClass::kMachineFailure, config.machine_failure_rate_hz,
+        config.machine_failure_mean_s, config.machine_failure_fraction, 0x50c4, 0);
+  renew(FaultClass::kRegionalBrownout, config.brownout_rate_hz, config.brownout_mean_s,
+        config.brownout_depth, 0x60c4, 0);
+  renew(FaultClass::kBackhaulBrownout, config.backhaul_brownout_rate_hz,
+        config.backhaul_brownout_mean_s, config.backhaul_brownout_depth, 0x70c4,
+        config.backhaul_hop);
+  renew(FaultClass::kBackhaulOutage, config.backhaul_outage_rate_hz,
+        config.backhaul_outage_mean_s, 0.0, 0x80c4, config.backhaul_hop);
+  renew(FaultClass::kFogSiteFailure, config.fog_failure_rate_hz, config.fog_failure_mean_s,
+        config.fog_failure_fraction, 0x90c4, 0);
+  for (std::size_t i = 0; i < config.extra_hops.size(); ++i) {
+    const HopFaultConfig& hc = config.extra_hops[i];
+    const std::uint64_t offset = 0x10000ull * (i + 1);
+    renew(FaultClass::kLinkOutage, hc.outage_rate_hz, hc.outage_mean_s, hc.outage_depth,
+          0x10c4 + offset, i + 1);
+    renew(FaultClass::kRttSpike, hc.rtt_spike_rate_hz, hc.rtt_spike_mean_s,
+          hc.rtt_spike_extra_ms, 0x30c4 + offset, i + 1);
+  }
+  episodes.insert(episodes.end(), config.scripted.begin(), config.scripted.end());
+  std::stable_sort(episodes.begin(), episodes.end(),
+                   [](const FaultEpisode& a, const FaultEpisode& b) {
+                     return a.start_s < b.start_s;
+                   });
+  return episodes;
+}
+
+/// The three public generators against the oracle at one (seed, id). Returns
+/// the draw count of every stream they ran, for the caller's coverage checks.
+std::vector<std::size_t> expect_matches_reference(const FaultScheduleConfig& config,
+                                                  std::uint64_t fleet_seed,
+                                                  std::uint64_t id) {
+  const std::uint64_t region_root = par::substream_seed(fleet_seed, kRegionStreamSalt);
+  const std::pair<FaultSchedule, std::uint64_t> cases[] = {
+      {FaultSchedule::generate(config), config.seed},
+      {FaultSchedule::generate_for_device(config, fleet_seed, id),
+       par::substream_seed(fleet_seed, id)},
+      {FaultSchedule::generate_for_region(config, fleet_seed, id),
+       par::substream_seed(region_root, id)},
+  };
+  std::vector<std::size_t> draws;
+  for (const auto& [schedule, base_seed] : cases) {
+    const std::vector<FaultEpisode> want = reference_episodes(config, base_seed, draws);
+    const std::vector<FaultEpisode>& got = schedule.episodes();
+    EXPECT_EQ(got.size(), want.size()) << "seed " << fleet_seed << " id " << id;
+    for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+      EXPECT_EQ(got[i].fault, want[i].fault) << "episode " << i;
+      EXPECT_EQ(got[i].start_s, want[i].start_s) << "episode " << i;
+      EXPECT_EQ(got[i].end_s, want[i].end_s) << "episode " << i;
+      EXPECT_EQ(got[i].magnitude, want[i].magnitude) << "episode " << i;
+      EXPECT_EQ(got[i].hop, want[i].hop) << "episode " << i;
+    }
+  }
+  return draws;
+}
+
+/// Every stream enabled at the same rate with a short mean, so each stream
+/// draws about 1 + 2 * horizon * rate values.
+FaultScheduleConfig every_stream(double rate_hz, double horizon_s) {
+  FaultScheduleConfig config;
+  config.horizon_s = horizon_s;
+  for (double* rate : {&config.link_outage_rate_hz, &config.cloud_outage_rate_hz,
+                       &config.rtt_spike_rate_hz, &config.edge_slowdown_rate_hz,
+                       &config.machine_failure_rate_hz, &config.brownout_rate_hz,
+                       &config.backhaul_brownout_rate_hz, &config.backhaul_outage_rate_hz,
+                       &config.fog_failure_rate_hz}) {
+    *rate = rate_hz;
+  }
+  for (double* mean : {&config.link_outage_mean_s, &config.cloud_outage_mean_s,
+                       &config.rtt_spike_mean_s, &config.edge_slowdown_mean_s,
+                       &config.machine_failure_mean_s, &config.brownout_mean_s,
+                       &config.backhaul_brownout_mean_s, &config.backhaul_outage_mean_s,
+                       &config.fog_failure_mean_s}) {
+    *mean = 0.01 / rate_hz;
+  }
+  HopFaultConfig hop;
+  hop.outage_rate_hz = rate_hz;
+  hop.outage_mean_s = 0.01 / rate_hz;
+  hop.rtt_spike_rate_hz = rate_hz;
+  hop.rtt_spike_mean_s = 0.01 / rate_hz;
+  config.extra_hops = {hop};
+  return config;
+}
+
+TEST(FaultSchedule, MatchesMt19937ReferenceAtFleetRates) {
+  // The fleet benchmark's per-device and regional rates over 16 x 300 s:
+  // streams of 1, 3 or 5 draws, plus a scripted episode merged in.
+  FaultScheduleConfig config;
+  config.horizon_s = 4800.0;
+  config.link_outage_rate_hz = 1.0 / 3600.0;
+  config.link_outage_mean_s = 120.0;
+  config.cloud_outage_rate_hz = 1.0 / 7200.0;
+  config.cloud_outage_mean_s = 180.0;
+  config.backhaul_brownout_rate_hz = 1.0 / 1800.0;
+  config.backhaul_brownout_mean_s = 900.0;
+  config.backhaul_outage_rate_hz = 1.0 / 7200.0;
+  config.backhaul_outage_mean_s = 600.0;
+  config.fog_failure_rate_hz = 1.0 / 3600.0;
+  config.fog_failure_mean_s = 900.0;
+  config.scripted.push_back({FaultClass::kMachineFailure, 100.0, 400.0, 0.5});
+  std::set<std::size_t> draws_seen;
+  for (std::uint64_t id = 0; id < 300; ++id) {
+    config.seed = static_cast<unsigned>(id);
+    for (const std::size_t n : expect_matches_reference(config, 1 + id % 3, id)) {
+      draws_seen.insert(n);
+    }
+  }
+  EXPECT_EQ(draws_seen.count(1), 1u);
+  EXPECT_EQ(draws_seen.count(3), 1u);
+  EXPECT_LT(*draws_seen.rbegin(), 156u);  // all within the engine's lazy prefix
+}
+
+TEST(FaultSchedule, MatchesMt19937ReferenceAcrossTheEngineHandoff) {
+  // ~77.5 episodes per stream: 77 episodes draw 155 values (all from the
+  // lazy prefix), 78 draw 157 (the last two past the 156-draw handoff).
+  const FaultScheduleConfig base = every_stream(1.0, 77.5);
+  std::set<std::size_t> draws_seen;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    FaultScheduleConfig config = base;
+    config.seed = static_cast<unsigned>(seed);
+    for (const std::size_t n : expect_matches_reference(config, seed, seed % 8)) {
+      draws_seen.insert(n);
+    }
+  }
+  EXPECT_EQ(draws_seen.count(155), 1u) << "no stream ended just before the handoff";
+  EXPECT_EQ(draws_seen.count(157), 1u) << "no stream crossed the handoff";
+}
+
+TEST(FaultSchedule, MatchesMt19937ReferenceOnStreamsLongerThanTheState) {
+  // ~250 episodes: ~500 draws, past the reference engine's second twist.
+  FaultScheduleConfig config = every_stream(1.0, 250.0);
+  config.seed = 9;
+  const std::vector<std::size_t> draws = expect_matches_reference(config, 3, 5);
+  EXPECT_GT(*std::min_element(draws.begin(), draws.end()), 312u);
+}
+
 TEST(FaultSchedule, Validation) {
   FaultScheduleConfig config;
   config.link_outage_rate_hz = 0.1;
@@ -457,6 +631,58 @@ TEST(FaultSchedule, Validation) {
                std::invalid_argument);  // empty interval
   EXPECT_THROW(FaultSchedule({{FaultClass::kEdgeSlowdown, 0.0, 1.0, 0.5}}),
                std::invalid_argument);  // slowdown < 1
+
+  // NaN fails every range check: magnitudes, times, rates and means.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const FaultClass fault :
+       {FaultClass::kLinkOutage, FaultClass::kRttSpike, FaultClass::kEdgeSlowdown,
+        FaultClass::kMachineFailure, FaultClass::kRegionalBrownout,
+        FaultClass::kBackhaulBrownout, FaultClass::kFogSiteFailure}) {
+    EXPECT_THROW(FaultSchedule({{fault, 0.0, 1.0, nan, 1}}), std::invalid_argument)
+        << fault_class_name(fault);
+  }
+  EXPECT_THROW(FaultSchedule({{FaultClass::kRttSpike, 0.0, 1.0, inf}}),
+               std::invalid_argument);
+  EXPECT_THROW(FaultSchedule({{FaultClass::kEdgeSlowdown, 0.0, 1.0, inf}}),
+               std::invalid_argument);
+  EXPECT_THROW(FaultSchedule({{FaultClass::kCloudOutage, nan, 1.0, 0.0}}),
+               std::invalid_argument);
+  EXPECT_THROW(FaultSchedule({{FaultClass::kCloudOutage, 0.0, nan, 0.0}}),
+               std::invalid_argument);
+
+  FaultScheduleConfig knobs;
+  knobs.horizon_s = 100.0;
+  EXPECT_NO_THROW(FaultSchedule::generate(knobs));
+  knobs.horizon_s = nan;
+  EXPECT_THROW(FaultSchedule::generate(knobs), std::invalid_argument);
+  knobs.horizon_s = 100.0;
+  using Knob = double FaultScheduleConfig::*;
+  for (const Knob knob :
+       {&FaultScheduleConfig::link_outage_rate_hz, &FaultScheduleConfig::cloud_outage_rate_hz,
+        &FaultScheduleConfig::brownout_rate_hz, &FaultScheduleConfig::fog_failure_rate_hz,
+        &FaultScheduleConfig::link_outage_mean_s, &FaultScheduleConfig::machine_failure_mean_s,
+        &FaultScheduleConfig::backhaul_outage_mean_s}) {
+    for (const double bad : {nan, inf}) {
+      FaultScheduleConfig c = knobs;
+      c.*knob = bad;
+      EXPECT_THROW(FaultSchedule::generate(c), std::invalid_argument);
+    }
+  }
+  knobs.extra_hops.resize(1);
+  knobs.extra_hops[0].outage_rate_hz = nan;
+  EXPECT_THROW(FaultSchedule::generate(knobs), std::invalid_argument);
+  knobs.extra_hops[0].outage_rate_hz = 0.0;
+  knobs.extra_hops[0].rtt_spike_mean_s = inf;
+  EXPECT_THROW(FaultSchedule::generate(knobs), std::invalid_argument);
+
+  // An enabled class with a NaN magnitude throws even if its stream draws
+  // no episode within the horizon.
+  FaultScheduleConfig rare;
+  rare.horizon_s = 1.0;
+  rare.brownout_rate_hz = 1e-9;
+  rare.brownout_depth = nan;
+  EXPECT_THROW(FaultSchedule::generate(rare), std::invalid_argument);
 }
 
 TEST(FaultInjector, ScriptedQueriesAndDegradedTime) {
