@@ -61,12 +61,14 @@ bool is_whole(double value, double lo) {
   return value >= lo && value <= 9007199254740992.0 && value == std::floor(value);
 }
 
-/// A positive count given as a number ("1e6" reads as 1000000); rejects
-/// fractions, NaN and values past 2^53.
-std::size_t get_count(const Args& args, const std::string& key, double fallback) {
+/// A count of at least `lo` (positive unless stated) given as a number
+/// ("1e6" reads as 1000000); rejects fractions, NaN and values past 2^53.
+std::size_t get_count(const Args& args, const std::string& key, double fallback,
+                      double lo = 1.0) {
   const double value = args.get_double(key, fallback);
-  if (!is_whole(value, 1.0)) {
-    throw std::invalid_argument("--" + key + " must be a positive whole count");
+  if (!is_whole(value, lo)) {
+    throw std::invalid_argument("--" + key + (lo > 0.0 ? " must be a positive whole count"
+                                                       : " must be a whole count >= 0"));
   }
   return static_cast<std::size_t>(value);
 }
@@ -460,7 +462,7 @@ int cmd_faults(const Args& args) {
   config.duration_s = args.get_double("duration", 60.0);
   config.seed = static_cast<unsigned>(args.get_int("seed", 1));
   config.timeout_ms = args.get_double("timeout", 500.0);
-  config.max_retries = static_cast<std::size_t>(args.get_int("retries", 2));
+  config.max_retries = get_count(args, "retries", 2, 0.0);
   config.faults.seed = config.seed;
   config.faults.link_outage_rate_hz = 1.0 / 40.0;
   config.faults.link_outage_mean_s = 5.0;

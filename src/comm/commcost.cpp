@@ -9,8 +9,8 @@ CommModel::CommModel(WirelessTechnology technology, double round_trip_ms)
 
 CommModel::CommModel(const RadioPowerModel& power_model, double round_trip_ms)
     : power_model_(power_model), round_trip_ms_(round_trip_ms) {
-  if (round_trip_ms < 0.0) {
-    throw std::invalid_argument("CommModel: negative round-trip latency");
+  if (!(round_trip_ms >= 0.0)) {  // NaN fails too
+    throw std::invalid_argument("CommModel: round-trip latency must be non-negative");
   }
 }
 

@@ -25,13 +25,14 @@ double ThroughputTrace::max_mbps() const {
 
 TraceGenerator::TraceGenerator(TraceGeneratorConfig config)
     : config_(config), rng_(config.seed) {
-  if (config.mean_mbps <= 0.0 || config.sigma < 0.0 || config.correlation < 0.0 ||
-      config.correlation >= 1.0 || config.floor_mbps <= 0.0) {
+  // Written so that NaN fails every check.
+  if (!(config.mean_mbps > 0.0 && config.sigma >= 0.0 && config.correlation >= 0.0 &&
+        config.correlation < 1.0 && config.floor_mbps > 0.0)) {
     throw std::invalid_argument("TraceGenerator: invalid configuration");
   }
-  if (config.outage_start_probability < 0.0 || config.outage_start_probability >= 1.0 ||
-      config.outage_mean_duration < 1.0 || config.outage_depth_factor <= 0.0 ||
-      config.outage_depth_factor > 1.0) {
+  if (!(config.outage_start_probability >= 0.0 && config.outage_start_probability < 1.0 &&
+        config.outage_mean_duration >= 1.0 && config.outage_depth_factor > 0.0 &&
+        config.outage_depth_factor <= 1.0)) {
     throw std::invalid_argument("TraceGenerator: invalid outage configuration");
   }
 }

@@ -399,7 +399,7 @@ DeploymentEvaluation DeploymentPlan::price(const std::vector<double>& tu_mbps) c
 
 void DeploymentPlan::price_into(double tu_mbps, DeploymentEvaluation& out) const {
   require_two_tier("price(tu)");
-  if (tu_mbps <= 0.0) {
+  if (!(tu_mbps > 0.0)) {  // NaN fails too
     throw std::invalid_argument("DeploymentPlan: throughput must be positive");
   }
   if (options_.empty()) throw std::logic_error("DeploymentPlan: empty plan");
@@ -440,7 +440,7 @@ void DeploymentPlan::price_into(const std::vector<double>& tu_mbps,
     return;
   }
   for (double tu : tu_mbps) {
-    if (tu <= 0.0) {
+    if (!(tu > 0.0)) {
       throw std::invalid_argument("DeploymentPlan: throughput must be positive");
     }
   }
@@ -475,7 +475,7 @@ void DeploymentPlan::price_into(const std::vector<double>& tu_mbps,
 
 PricedObjectives DeploymentPlan::objectives_at(double tu_mbps) const {
   require_two_tier("objectives_at(tu)");
-  if (tu_mbps <= 0.0) {
+  if (!(tu_mbps > 0.0)) {
     throw std::invalid_argument("DeploymentPlan: throughput must be positive");
   }
   if (options_.empty()) throw std::logic_error("DeploymentPlan: empty plan");
@@ -503,7 +503,7 @@ PricedObjectives DeploymentPlan::objectives_at(const std::vector<double>& tu_mbp
   }
   if (later_hops_.empty()) return objectives_at(tu_mbps[0]);
   for (double tu : tu_mbps) {
-    if (tu <= 0.0) {
+    if (!(tu > 0.0)) {
       throw std::invalid_argument("DeploymentPlan: throughput must be positive");
     }
   }
@@ -588,12 +588,12 @@ void DeploymentPlan::price_batch_into(std::span<const double> tus_mbps,
   if (out.size() != m) {
     throw std::invalid_argument("price_batch_into: output span length differs");
   }
-  if (tus_mbps.front() <= 0.0) {
+  if (!(tus_mbps.front() > 0.0)) {
     throw std::invalid_argument("DeploymentPlan: throughput must be positive");
   }
   if (options_.empty()) throw std::logic_error("DeploymentPlan: empty plan");
   for (double tu : tus_mbps) {
-    if (tu <= 0.0) {
+    if (!(tu > 0.0)) {
       throw std::invalid_argument("DeploymentPlan: throughput must be positive");
     }
   }

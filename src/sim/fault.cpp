@@ -321,17 +321,23 @@ std::size_t FaultSchedule::count(FaultClass fault) const {
 
 FaultInjector::FaultInjector(FaultSchedule schedule) : schedule_(std::move(schedule)) {
   for (const FaultEpisode& e : schedule_.episodes()) {
-    by_class_[static_cast<std::size_t>(e.fault)].push_back(e);
+    const auto c = static_cast<std::size_t>(e.fault);
+    by_class_[c].push_back(e);
+    reach_s_[c].push_back(reach_s_[c].empty() ? e.end_s
+                                              : std::max(reach_s_[c].back(), e.end_s));
   }
 }
 
-const std::vector<FaultEpisode>& FaultInjector::of(FaultClass fault) const {
-  return by_class_[static_cast<std::size_t>(fault)];
+std::span<const FaultEpisode> FaultInjector::live(FaultClass fault, double t_s) const {
+  const auto c = static_cast<std::size_t>(fault);
+  const std::vector<double>& reach = reach_s_[c];
+  const auto first = std::upper_bound(reach.begin(), reach.end(), t_s) - reach.begin();
+  return std::span<const FaultEpisode>(by_class_[c]).subspan(static_cast<std::size_t>(first));
 }
 
 double FaultInjector::link_factor(double t_s, std::size_t hop) const {
   double factor = 1.0;
-  for (const FaultEpisode& e : of(FaultClass::kLinkOutage)) {
+  for (const FaultEpisode& e : live(FaultClass::kLinkOutage, t_s)) {
     if (e.start_s > t_s) break;  // start-sorted: nothing later can cover t
     if (e.hop == hop && e.covers(t_s)) factor = std::min(factor, e.magnitude);
   }
@@ -339,7 +345,7 @@ double FaultInjector::link_factor(double t_s, std::size_t hop) const {
 }
 
 bool FaultInjector::cloud_unavailable(double t_s) const {
-  for (const FaultEpisode& e : of(FaultClass::kCloudOutage)) {
+  for (const FaultEpisode& e : live(FaultClass::kCloudOutage, t_s)) {
     if (e.start_s > t_s) break;
     if (e.covers(t_s)) return true;
   }
@@ -349,7 +355,10 @@ bool FaultInjector::cloud_unavailable(double t_s) const {
 double FaultInjector::cloud_recovery_time(double t_s) const {
   double t = t_s;
   // Chained windows: recovering into another outage keeps pushing forward.
-  for (const FaultEpisode& e : of(FaultClass::kCloudOutage)) {
+  // Starts are sorted and t only grows, so once an episode starts past t no
+  // later one can cover it.
+  for (const FaultEpisode& e : live(FaultClass::kCloudOutage, t_s)) {
+    if (e.start_s > t) break;
     if (e.covers(t)) t = e.end_s;
   }
   return t;
@@ -357,7 +366,7 @@ double FaultInjector::cloud_recovery_time(double t_s) const {
 
 double FaultInjector::rtt_extra_ms(double t_s, std::size_t hop) const {
   double extra = 0.0;
-  for (const FaultEpisode& e : of(FaultClass::kRttSpike)) {
+  for (const FaultEpisode& e : live(FaultClass::kRttSpike, t_s)) {
     if (e.start_s > t_s) break;
     if (e.hop == hop && e.covers(t_s)) extra = std::max(extra, e.magnitude);
   }
@@ -366,7 +375,7 @@ double FaultInjector::rtt_extra_ms(double t_s, std::size_t hop) const {
 
 double FaultInjector::edge_slowdown(double t_s) const {
   double factor = 1.0;
-  for (const FaultEpisode& e : of(FaultClass::kEdgeSlowdown)) {
+  for (const FaultEpisode& e : live(FaultClass::kEdgeSlowdown, t_s)) {
     if (e.start_s > t_s) break;
     if (e.covers(t_s)) factor = std::max(factor, e.magnitude);
   }
@@ -375,7 +384,7 @@ double FaultInjector::edge_slowdown(double t_s) const {
 
 double FaultInjector::machine_failure_fraction(double t_s) const {
   double fraction = 0.0;
-  for (const FaultEpisode& e : of(FaultClass::kMachineFailure)) {
+  for (const FaultEpisode& e : live(FaultClass::kMachineFailure, t_s)) {
     if (e.start_s > t_s) break;
     if (e.covers(t_s)) fraction = std::max(fraction, e.magnitude);
   }
@@ -384,7 +393,7 @@ double FaultInjector::machine_failure_fraction(double t_s) const {
 
 double FaultInjector::brownout_factor(double t_s) const {
   double factor = 1.0;
-  for (const FaultEpisode& e : of(FaultClass::kRegionalBrownout)) {
+  for (const FaultEpisode& e : live(FaultClass::kRegionalBrownout, t_s)) {
     if (e.start_s > t_s) break;
     if (e.covers(t_s)) factor = std::min(factor, 1.0 - e.magnitude);
   }
@@ -393,7 +402,7 @@ double FaultInjector::brownout_factor(double t_s) const {
 
 double FaultInjector::backhaul_factor(double t_s, std::size_t hop) const {
   double factor = 1.0;
-  for (const FaultEpisode& e : of(FaultClass::kBackhaulBrownout)) {
+  for (const FaultEpisode& e : live(FaultClass::kBackhaulBrownout, t_s)) {
     if (e.start_s > t_s) break;
     if (e.hop == hop && e.covers(t_s)) factor = std::min(factor, 1.0 - e.magnitude);
   }
@@ -401,7 +410,7 @@ double FaultInjector::backhaul_factor(double t_s, std::size_t hop) const {
 }
 
 bool FaultInjector::backhaul_unavailable(double t_s, std::size_t hop) const {
-  for (const FaultEpisode& e : of(FaultClass::kBackhaulOutage)) {
+  for (const FaultEpisode& e : live(FaultClass::kBackhaulOutage, t_s)) {
     if (e.start_s > t_s) break;
     if (e.hop == hop && e.covers(t_s)) return true;
   }
@@ -410,7 +419,7 @@ bool FaultInjector::backhaul_unavailable(double t_s, std::size_t hop) const {
 
 double FaultInjector::fog_failure_fraction(double t_s) const {
   double fraction = 0.0;
-  for (const FaultEpisode& e : of(FaultClass::kFogSiteFailure)) {
+  for (const FaultEpisode& e : live(FaultClass::kFogSiteFailure, t_s)) {
     if (e.start_s > t_s) break;
     if (e.covers(t_s)) fraction = std::max(fraction, e.magnitude);
   }
@@ -419,7 +428,7 @@ double FaultInjector::fog_failure_fraction(double t_s) const {
 
 double FaultInjector::next_link_boundary(double t_s, std::size_t hop) const {
   double next = kInf;
-  for (const FaultEpisode& e : of(FaultClass::kLinkOutage)) {
+  for (const FaultEpisode& e : live(FaultClass::kLinkOutage, t_s)) {
     if (e.hop != hop) continue;
     if (e.start_s > t_s) {
       next = std::min(next, e.start_s);

@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -203,8 +204,11 @@ class FaultSchedule {
   std::vector<FaultEpisode> episodes_;
 };
 
-/// Point-in-time query engine over a FaultSchedule. All queries are O(per-
-/// class episodes) worst case and const — safe to share across readers.
+/// Point-in-time query engine over a FaultSchedule. Each class keeps its
+/// episodes start-sorted beside a running maximum of their end times, so a
+/// query binary-searches past every episode that ended at or before t and
+/// scans from the earliest one still open at t up to t: O(log n + live
+/// episodes). All queries are const — safe to share across readers.
 class FaultInjector {
  public:
   FaultInjector() = default;  ///< empty schedule: always healthy
@@ -245,12 +249,18 @@ class FaultInjector {
   const FaultSchedule& schedule() const { return schedule_; }
 
  private:
-  const std::vector<FaultEpisode>& of(FaultClass fault) const;
+  /// Episodes of `fault` from the first one that may still cover `t_s`:
+  /// every episode skipped ended at or before `t_s`.
+  std::span<const FaultEpisode> live(FaultClass fault, double t_s) const;
 
   FaultSchedule schedule_;
   /// Episodes partitioned by class, start-sorted (indices into nothing —
   /// copies; schedules are tiny next to the request stream).
   std::vector<FaultEpisode> by_class_[kNumFaultClasses];
+  /// reach_s_[c][i]: the latest end_s among by_class_[c][0..i]. Unlike the
+  /// raw end times it is nondecreasing even where a long episode contains
+  /// later, shorter ones, so it can be binary-searched.
+  std::vector<double> reach_s_[kNumFaultClasses];
 };
 
 }  // namespace lens::sim

@@ -13,25 +13,35 @@ namespace lens::sim {
 
 namespace {
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// NaN fails every check below.
+bool positive_finite(double x) { return x > 0.0 && x < kInf; }
+bool nonnegative_finite(double x) { return x >= 0.0 && x < kInf; }
+
 void validate_config(const SimConfig& config, std::size_t num_options) {
   if (config.fixed_option >= num_options) {
     throw std::invalid_argument("EdgeCloudSystem: bad fixed option index");
   }
-  if (config.duration_s <= 0.0 || config.arrival_rate_hz <= 0.0) {
-    throw std::invalid_argument("EdgeCloudSystem: bad duration or arrival rate");
-  }
-  if (config.faults.any_enabled() &&
-      (config.timeout_ms <= 0.0 || config.retry_backoff_ms < 0.0)) {
+  if (!positive_finite(config.duration_s) || !positive_finite(config.arrival_rate_hz)) {
     throw std::invalid_argument(
-        "EdgeCloudSystem: fault injection needs a positive timeout and a "
-        "non-negative retry backoff");
+        "EdgeCloudSystem: duration and arrival rate must be finite and positive");
   }
-  if (config.retry_jitter < 0.0 || config.retry_jitter > 1.0) {
+  if (!positive_finite(config.timeout_ms) || !nonnegative_finite(config.retry_backoff_ms)) {
+    throw std::invalid_argument(
+        "EdgeCloudSystem: the timeout must be finite and positive, the retry "
+        "backoff finite and non-negative");
+  }
+  if (!(config.retry_jitter >= 0.0 && config.retry_jitter <= 1.0)) {
     throw std::invalid_argument("EdgeCloudSystem: retry_jitter must be in [0, 1]");
   }
-  if (config.breaker_failures > 0 && config.breaker_open_ms <= 0.0) {
+  if (!positive_finite(config.breaker_open_ms)) {
     throw std::invalid_argument(
-        "EdgeCloudSystem: the circuit breaker needs a positive open window");
+        "EdgeCloudSystem: the circuit breaker's open window must be finite and positive");
+  }
+  if (!nonnegative_finite(config.deadline_ms)) {
+    throw std::invalid_argument(
+        "EdgeCloudSystem: the deadline must be finite and non-negative (0 disables)");
   }
 }
 
@@ -450,18 +460,38 @@ SimStats EdgeCloudSystem::run() {
   stats.mean_latency_ms /= static_cast<double>(stats.completed);
   stats.energy_per_inference_mj =
       stats.total_energy_mj / static_cast<double>(stats.completed);
-  std::sort(latencies.begin(), latencies.end());
+  // Exact order statistics without a full sort. Once nth_element has placed
+  // rank k, [k + 1, end) holds exactly the ranks above k: each selection
+  // starts where the previous one stopped (ranks are asked for in ascending
+  // order), and rank k + 1 is the minimum of that tail.
+  std::size_t unselected = 0;  // [unselected, end) holds exactly the ranks >= it
+  const auto at_rank = [&](std::size_t rank) {
+    const auto nth = latencies.begin() + static_cast<std::ptrdiff_t>(rank);
+    if (rank >= unselected) {
+      std::nth_element(latencies.begin() + static_cast<std::ptrdiff_t>(unselected), nth,
+                       latencies.end());
+      unselected = rank + 1;
+    }
+    return *nth;
+  };
   auto percentile = [&](double p) {
     const double position = p / 100.0 * static_cast<double>(latencies.size() - 1);
     const auto lower = static_cast<std::size_t>(std::floor(position));
     const auto upper = static_cast<std::size_t>(std::ceil(position));
     const double fraction = position - static_cast<double>(lower);
-    return latencies[lower] + fraction * (latencies[upper] - latencies[lower]);
+    const double low = at_rank(lower);
+    const double high =
+        upper == lower
+            ? low
+            : *std::min_element(latencies.begin() + static_cast<std::ptrdiff_t>(upper),
+                                latencies.end());
+    return low + fraction * (high - low);
   };
   stats.p50_latency_ms = percentile(50.0);
   stats.p95_latency_ms = percentile(95.0);
   stats.p99_latency_ms = percentile(99.0);
-  stats.max_latency_ms = latencies.back();
+  stats.max_latency_ms = *std::max_element(
+      latencies.begin() + static_cast<std::ptrdiff_t>(unselected) - 1, latencies.end());
   if (stats.makespan_s > 0.0) {
     stats.edge_utilization = edge.total_busy() / stats.makespan_s;
     stats.link_utilization = link.total_busy() / stats.makespan_s;

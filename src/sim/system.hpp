@@ -67,7 +67,7 @@ struct SimConfig {
   std::vector<double> backhaul_tu_mbps;
   /// Client-side timeout armed when a transmitted payload reaches an
   /// unavailable cloud: the attempt fails this many ms after send
-  /// completion. Must be positive when any fault class is enabled.
+  /// completion. Must be finite and positive.
   double timeout_ms = 500.0;
   /// Failed attempts are retried with exponential backoff (base
   /// retry_backoff_ms, doubling per attempt) up to max_retries times, then

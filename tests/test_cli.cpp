@@ -131,6 +131,21 @@ TEST(Commands, BadOptionValueIsUserError) {
               1)
         << episode;
   }
+  // NaN and infinite serving knobs fail by name: no "nan req/s" report, no
+  // run that silently drops its deadline, no arrival loop without end.
+  EXPECT_EQ(run_command(parse({"simulate", "--rate", "nan", "--duration", "5"})), 1);
+  EXPECT_EQ(run_command(parse({"simulate", "--deadline", "nan"})), 1);
+  for (const char* knob : {"--rate", "--timeout", "--jitter"}) {
+    EXPECT_EQ(run_command(parse({"faults", "--duration", "5", knob, "nan"})), 1) << knob;
+  }
+  EXPECT_EQ(run_command(parse({"faults", "--duration", "inf", "--rate", "1"})), 1);
+  EXPECT_EQ(run_command(parse({"faults", "--duration", "5", "--retries", "-1"})), 1);
+  // NaN throughput or RTT fails instead of pricing NaN rows.
+  EXPECT_EQ(run_command(parse({"fleet", "--devices", "1000", "--steps", "4", "--tu", "nan"})),
+            1);
+  EXPECT_EQ(run_command(parse({"fleet", "--devices", "1000", "--steps", "4", "--rtt", "nan"})),
+            1);
+  EXPECT_EQ(run_command(parse({"evaluate", "--tu", "nan"})), 1);
 }
 
 TEST(Commands, EvaluateRuns) {
@@ -169,6 +184,9 @@ TEST(Commands, FaultsRunsAndRejectsUnknownOptions) {
                                "--timeout", "300", "--retries", "1"})),
             0);
   EXPECT_EQ(run_command(parse({"faults", "--policy", "dynamic"})), 1);  // not a knob here
+  // No retries is a count, unlike no devices.
+  EXPECT_EQ(run_command(parse({"faults", "--rate", "5", "--duration", "5", "--retries", "0"})),
+            0);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 // with exact (EXPECT_EQ) comparisons across memory budgets, cloud models,
 // and log-spaced throughput sweeps.
 
+#include <cmath>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -250,6 +251,8 @@ TEST_F(PlanTest, Validation) {
   EXPECT_THROW(plan.price(0.0), std::invalid_argument);
   EXPECT_THROW(plan.price(-2.0), std::invalid_argument);
   EXPECT_THROW(plan.objectives_at(0.0), std::invalid_argument);
+  EXPECT_THROW(plan.price(std::nan("")), std::invalid_argument);
+  EXPECT_THROW(plan.objectives_at(std::nan("")), std::invalid_argument);
   const DeploymentPlan empty;
   EXPECT_THROW(empty.price(3.0), std::logic_error);
   EXPECT_THROW(empty.objectives_at(3.0), std::logic_error);
@@ -264,6 +267,8 @@ TEST_F(PlanTest, PriceBatchValidationMatchesScalarPath) {
   EXPECT_TRUE(plan.price_batch({}).empty());
   EXPECT_THROW(plan.price_batch({0.0, 3.0}), std::invalid_argument);
   EXPECT_THROW(plan.price_batch({3.0, -1.0}), std::invalid_argument);
+  EXPECT_THROW(plan.price_batch({std::nan(""), 3.0}), std::invalid_argument);
+  EXPECT_THROW(plan.price_batch({3.0, std::nan("")}), std::invalid_argument);
   const DeploymentPlan empty;
   EXPECT_TRUE(empty.price_batch({}).empty());
   EXPECT_THROW(empty.price_batch({3.0}), std::logic_error);

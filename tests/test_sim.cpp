@@ -273,6 +273,28 @@ TEST_F(SystemTest, Validation) {
   config.duration_s = -1.0;
   EXPECT_THROW(EdgeCloudSystem(evaluation_.options, wifi_, flat_trace(10.0), config),
                std::invalid_argument);
+  // NaN fails every range check, and no knob but the retry jitter (bounded
+  // by 1) may be infinite; an infinite duration would never stop arriving.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::pair<double SimConfig::*, double> bad_knobs[] = {
+      {&SimConfig::duration_s, nan},       {&SimConfig::duration_s, inf},
+      {&SimConfig::arrival_rate_hz, nan},  {&SimConfig::arrival_rate_hz, inf},
+      {&SimConfig::timeout_ms, nan},       {&SimConfig::timeout_ms, inf},
+      {&SimConfig::timeout_ms, 0.0},       {&SimConfig::retry_backoff_ms, nan},
+      {&SimConfig::retry_backoff_ms, inf}, {&SimConfig::retry_backoff_ms, -1.0},
+      {&SimConfig::retry_jitter, nan},     {&SimConfig::retry_jitter, 1.5},
+      {&SimConfig::breaker_open_ms, nan},  {&SimConfig::breaker_open_ms, inf},
+      {&SimConfig::breaker_open_ms, 0.0},  {&SimConfig::deadline_ms, nan},
+      {&SimConfig::deadline_ms, inf},      {&SimConfig::deadline_ms, -1.0},
+  };
+  for (const auto& [knob, value] : bad_knobs) {
+    config = {};
+    config.*knob = value;
+    EXPECT_THROW(EdgeCloudSystem(evaluation_.options, wifi_, flat_trace(10.0), config),
+                 std::invalid_argument)
+        << value;
+  }
   config = {};
   EdgeCloudSystem system(evaluation_.options, wifi_, flat_trace(10.0), config);
   system.run();
@@ -718,6 +740,268 @@ TEST(FaultInjector, ScriptedQueriesAndDegradedTime) {
   EXPECT_DOUBLE_EQ(healthy.degraded_time(100.0), 0.0);
 }
 
+// The FaultInjector queries as they stood before its end-time index, frozen:
+// each scans its class from the first episode. The oracle every indexed
+// query must match bit for bit.
+class LinearFaultQueries {
+ public:
+  explicit LinearFaultQueries(const FaultSchedule& schedule) {
+    for (const FaultEpisode& e : schedule.episodes()) {
+      by_class_[static_cast<std::size_t>(e.fault)].push_back(e);
+    }
+  }
+
+  double link_factor(double t_s, std::size_t hop) const {
+    double factor = 1.0;
+    for (const FaultEpisode& e : of(FaultClass::kLinkOutage)) {
+      if (e.start_s > t_s) break;
+      if (e.hop == hop && e.covers(t_s)) factor = std::min(factor, e.magnitude);
+    }
+    return factor;
+  }
+
+  bool cloud_unavailable(double t_s) const {
+    for (const FaultEpisode& e : of(FaultClass::kCloudOutage)) {
+      if (e.start_s > t_s) break;
+      if (e.covers(t_s)) return true;
+    }
+    return false;
+  }
+
+  double cloud_recovery_time(double t_s) const {
+    double t = t_s;
+    for (const FaultEpisode& e : of(FaultClass::kCloudOutage)) {
+      if (e.covers(t)) t = e.end_s;
+    }
+    return t;
+  }
+
+  double rtt_extra_ms(double t_s, std::size_t hop) const {
+    double extra = 0.0;
+    for (const FaultEpisode& e : of(FaultClass::kRttSpike)) {
+      if (e.start_s > t_s) break;
+      if (e.hop == hop && e.covers(t_s)) extra = std::max(extra, e.magnitude);
+    }
+    return extra;
+  }
+
+  double edge_slowdown(double t_s) const {
+    double factor = 1.0;
+    for (const FaultEpisode& e : of(FaultClass::kEdgeSlowdown)) {
+      if (e.start_s > t_s) break;
+      if (e.covers(t_s)) factor = std::max(factor, e.magnitude);
+    }
+    return factor;
+  }
+
+  double machine_failure_fraction(double t_s) const {
+    double fraction = 0.0;
+    for (const FaultEpisode& e : of(FaultClass::kMachineFailure)) {
+      if (e.start_s > t_s) break;
+      if (e.covers(t_s)) fraction = std::max(fraction, e.magnitude);
+    }
+    return fraction;
+  }
+
+  double brownout_factor(double t_s) const {
+    double factor = 1.0;
+    for (const FaultEpisode& e : of(FaultClass::kRegionalBrownout)) {
+      if (e.start_s > t_s) break;
+      if (e.covers(t_s)) factor = std::min(factor, 1.0 - e.magnitude);
+    }
+    return factor;
+  }
+
+  double backhaul_factor(double t_s, std::size_t hop) const {
+    double factor = 1.0;
+    for (const FaultEpisode& e : of(FaultClass::kBackhaulBrownout)) {
+      if (e.start_s > t_s) break;
+      if (e.hop == hop && e.covers(t_s)) factor = std::min(factor, 1.0 - e.magnitude);
+    }
+    return factor;
+  }
+
+  bool backhaul_unavailable(double t_s, std::size_t hop) const {
+    for (const FaultEpisode& e : of(FaultClass::kBackhaulOutage)) {
+      if (e.start_s > t_s) break;
+      if (e.hop == hop && e.covers(t_s)) return true;
+    }
+    return false;
+  }
+
+  double fog_failure_fraction(double t_s) const {
+    double fraction = 0.0;
+    for (const FaultEpisode& e : of(FaultClass::kFogSiteFailure)) {
+      if (e.start_s > t_s) break;
+      if (e.covers(t_s)) fraction = std::max(fraction, e.magnitude);
+    }
+    return fraction;
+  }
+
+  double next_link_boundary(double t_s, std::size_t hop) const {
+    double next = std::numeric_limits<double>::infinity();
+    for (const FaultEpisode& e : of(FaultClass::kLinkOutage)) {
+      if (e.hop != hop) continue;
+      if (e.start_s > t_s) {
+        next = std::min(next, e.start_s);
+        break;
+      }
+      if (e.end_s > t_s) next = std::min(next, e.end_s);
+    }
+    return next;
+  }
+
+ private:
+  const std::vector<FaultEpisode>& of(FaultClass fault) const {
+    return by_class_[static_cast<std::size_t>(fault)];
+  }
+
+  std::vector<FaultEpisode> by_class_[kNumFaultClasses];
+};
+
+/// All eleven queries of `faults` against the oracle at `t_s`, on every hop
+/// below `hops` (the hop-free queries once).
+void expect_queries_match(const FaultInjector& faults, const LinearFaultQueries& oracle,
+                          double t_s, std::size_t hops) {
+  EXPECT_EQ(faults.cloud_unavailable(t_s), oracle.cloud_unavailable(t_s)) << "t " << t_s;
+  EXPECT_EQ(faults.cloud_recovery_time(t_s), oracle.cloud_recovery_time(t_s)) << "t " << t_s;
+  EXPECT_EQ(faults.edge_slowdown(t_s), oracle.edge_slowdown(t_s)) << "t " << t_s;
+  EXPECT_EQ(faults.machine_failure_fraction(t_s), oracle.machine_failure_fraction(t_s))
+      << "t " << t_s;
+  EXPECT_EQ(faults.brownout_factor(t_s), oracle.brownout_factor(t_s)) << "t " << t_s;
+  EXPECT_EQ(faults.fog_failure_fraction(t_s), oracle.fog_failure_fraction(t_s)) << "t " << t_s;
+  for (std::size_t hop = 0; hop < hops; ++hop) {
+    EXPECT_EQ(faults.link_factor(t_s, hop), oracle.link_factor(t_s, hop))
+        << "t " << t_s << " hop " << hop;
+    EXPECT_EQ(faults.rtt_extra_ms(t_s, hop), oracle.rtt_extra_ms(t_s, hop))
+        << "t " << t_s << " hop " << hop;
+    EXPECT_EQ(faults.backhaul_factor(t_s, hop), oracle.backhaul_factor(t_s, hop))
+        << "t " << t_s << " hop " << hop;
+    EXPECT_EQ(faults.backhaul_unavailable(t_s, hop), oracle.backhaul_unavailable(t_s, hop))
+        << "t " << t_s << " hop " << hop;
+    EXPECT_EQ(faults.next_link_boundary(t_s, hop), oracle.next_link_boundary(t_s, hop))
+        << "t " << t_s << " hop " << hop;
+  }
+}
+
+/// Query times at a schedule's edges: every start and end and the doubles
+/// either side of each, before the first episode, after the last, plus
+/// `random` uniform draws over the span.
+std::vector<double> edge_query_times(const FaultSchedule& schedule, std::size_t random,
+                                     std::mt19937_64& rng) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double last = 0.0;
+  std::vector<double> times = {-1.0, 0.0};
+  for (const FaultEpisode& e : schedule.episodes()) {
+    for (const double t : {e.start_s, e.end_s}) {
+      times.insert(times.end(), {t, std::nextafter(t, -kInf), std::nextafter(t, kInf)});
+    }
+    last = std::max(last, e.end_s);
+  }
+  times.push_back(last + 1.0);
+  std::uniform_real_distribution<double> span(0.0, last + 1.0);
+  for (std::size_t i = 0; i < random; ++i) times.push_back(span(rng));
+  return times;
+}
+
+/// True when some episode ends before an earlier-starting one of its class:
+/// a nested window, where the raw end times stop being sorted.
+bool has_nested_episode(const FaultSchedule& schedule) {
+  double reach[kNumFaultClasses] = {};
+  for (const FaultEpisode& e : schedule.episodes()) {
+    double& r = reach[static_cast<std::size_t>(e.fault)];
+    if (e.end_s < r) return true;
+    r = std::max(r, e.end_s);
+  }
+  return false;
+}
+
+/// 1-12 scripted episodes per class, over `hops` hops, on a 0.5 s grid so
+/// starts and ends coincide across episodes. A third are long enough to
+/// contain several short ones of their class and to chain cloud outages.
+FaultSchedule random_scripted_schedule(std::mt19937_64& rng, std::size_t hops) {
+  std::uniform_int_distribution<int> slot(0, 200);
+  std::uniform_int_distribution<int> short_slots(1, 6);
+  std::uniform_int_distribution<int> long_slots(20, 80);
+  std::uniform_int_distribution<std::size_t> per_class(1, 12);
+  std::uniform_int_distribution<std::size_t> any_hop(0, hops - 1);
+  std::uniform_int_distribution<std::size_t> backhaul_hop(1, hops - 1);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::vector<FaultEpisode> episodes;
+  for (std::size_t c = 0; c < kNumFaultClasses; ++c) {
+    const std::size_t n = per_class(rng);
+    for (std::size_t i = 0; i < n; ++i) {
+      FaultEpisode e;
+      e.fault = static_cast<FaultClass>(c);
+      e.start_s = 0.5 * slot(rng);
+      e.end_s = e.start_s + 0.5 * (rng() % 3 == 0 ? long_slots(rng) : short_slots(rng));
+      e.magnitude = 0.05 + 0.9 * unit(rng);  // legal for every fractional class
+      switch (e.fault) {
+        case FaultClass::kLinkOutage: e.hop = any_hop(rng); break;
+        case FaultClass::kRttSpike:
+          e.hop = any_hop(rng);
+          e.magnitude *= 500.0;
+          break;
+        case FaultClass::kEdgeSlowdown: e.magnitude = 1.0 + 3.0 * e.magnitude; break;
+        case FaultClass::kBackhaulBrownout:
+        case FaultClass::kBackhaulOutage: e.hop = backhaul_hop(rng); break;
+        default: break;
+      }
+      episodes.push_back(e);
+    }
+  }
+  return FaultSchedule(std::move(episodes));
+}
+
+TEST(FaultInjector, IndexedQueriesMatchLinearScansOnNestedScriptedEpisodes) {
+  std::mt19937_64 rng(2024);
+  std::size_t nested = 0;
+  for (int round = 0; round < 200; ++round) {
+    const std::size_t hops = 2 + static_cast<std::size_t>(round % 3);
+    const FaultSchedule schedule = random_scripted_schedule(rng, hops);
+    nested += has_nested_episode(schedule) ? 1 : 0;
+    const FaultInjector faults(schedule);
+    const LinearFaultQueries oracle(schedule);
+    for (const double t : edge_query_times(schedule, 50, rng)) {
+      expect_queries_match(faults, oracle, t, hops);
+      if (::testing::Test::HasFailure()) return;  // one bad time says it all
+    }
+  }
+  EXPECT_GT(nested, 100u) << "too few schedules with nested episodes";
+}
+
+TEST(FaultInjector, IndexedQueriesMatchLinearScansAtLensFaultsRates) {
+  // `lens faults --tiers 3 --cloud-machines N`: every per-request and
+  // datacenter class, plus the backhaul hop's own fades and spikes.
+  FaultScheduleConfig config;
+  config.horizon_s = 3000.0;
+  config.link_outage_rate_hz = 1.0 / 40.0;
+  config.link_outage_mean_s = 5.0;
+  config.cloud_outage_rate_hz = 1.0 / 60.0;
+  config.cloud_outage_mean_s = 8.0;
+  config.rtt_spike_rate_hz = 1.0 / 50.0;
+  config.edge_slowdown_rate_hz = 1.0 / 80.0;
+  config.machine_failure_rate_hz = 1.0 / 90.0;
+  config.brownout_rate_hz = 1.0 / 70.0;
+  HopFaultConfig backhaul;
+  backhaul.outage_rate_hz = 1.0 / 50.0;
+  backhaul.outage_mean_s = 6.0;
+  backhaul.rtt_spike_rate_hz = 1.0 / 70.0;
+  config.extra_hops = {backhaul};
+  std::mt19937_64 rng(7);
+  for (unsigned seed = 1; seed <= 5; ++seed) {
+    config.seed = seed;
+    const FaultSchedule schedule = FaultSchedule::generate(config);
+    ASSERT_GT(schedule.count(FaultClass::kCloudOutage), 20u);
+    const FaultInjector faults(schedule);
+    const LinearFaultQueries oracle(schedule);
+    for (const double t : edge_query_times(schedule, 2000, rng)) {
+      expect_queries_match(faults, oracle, t, 2);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
 TEST(Link, FadeIsIntegratedAcrossEpisodeBoundaries) {
   // Flat 8 Mbps with a half-depth fade over [1 s, 2 s): a 12e6-bit payload
   // carries 8e6 bits in [0,1), 4e6 bits in [1,2) -> done exactly at 2 s.
@@ -907,6 +1191,139 @@ TEST_F(SystemTest, Deterministic) {
   EXPECT_EQ(sa.completed, sb.completed);
   EXPECT_DOUBLE_EQ(sa.total_energy_mj, sb.total_energy_mj);
   EXPECT_DOUBLE_EQ(sa.p99_latency_ms, sb.p99_latency_ms);
+}
+
+/// p50/p95/p99/max of the served requests by a full sort — the reference the
+/// simulator's order-statistic selection must reproduce bit for bit. Returns
+/// the sorted latencies for the caller's coverage checks.
+std::vector<double> expect_percentiles_match_sort(const EdgeCloudSystem& system,
+                                                  const SimStats& stats) {
+  std::vector<double> latencies;
+  for (const RequestRecord& r : system.records()) {
+    if (!r.dropped) latencies.push_back(r.latency_ms);
+  }
+  EXPECT_EQ(latencies.size(), stats.completed);
+  if (latencies.empty()) return latencies;
+  std::sort(latencies.begin(), latencies.end());
+  const auto percentile = [&](double p) {
+    const double position = p / 100.0 * static_cast<double>(latencies.size() - 1);
+    const auto lower = static_cast<std::size_t>(std::floor(position));
+    const auto upper = static_cast<std::size_t>(std::ceil(position));
+    const double fraction = position - static_cast<double>(lower);
+    return latencies[lower] + fraction * (latencies[upper] - latencies[lower]);
+  };
+  EXPECT_EQ(stats.p50_latency_ms, percentile(50.0)) << latencies.size() << " served";
+  EXPECT_EQ(stats.p95_latency_ms, percentile(95.0)) << latencies.size() << " served";
+  EXPECT_EQ(stats.p99_latency_ms, percentile(99.0)) << latencies.size() << " served";
+  EXPECT_EQ(stats.max_latency_ms, latencies.back()) << latencies.size() << " served";
+  return latencies;
+}
+
+/// Arrival horizon admitting exactly `n` >= 1 requests of the simulator's
+/// Poisson stream at (seed, rate): midway between arrivals n and n + 1.
+double horizon_for_arrivals(unsigned seed, double rate_hz, std::size_t n) {
+  std::mt19937_64 rng(seed);
+  std::exponential_distribution<double> gap(rate_hz);
+  double before = 0.0;
+  double t = gap(rng);
+  for (std::size_t i = 0; i < n; ++i) {
+    before = t;
+    t += gap(rng);
+  }
+  return (before + t) / 2.0;
+}
+
+TEST_F(SystemTest, PercentilesMatchAFullSortOnTinyRuns) {
+  // 1, 2 and 3 served requests: every rank coincidence the selection has —
+  // lower == upper, upper == lower + 1, and a p95 that reuses p50's rank.
+  for (std::size_t n = 1; n <= 3; ++n) {
+    SimConfig config;
+    config.seed = 5;
+    config.arrival_rate_hz = 2.0;
+    config.duration_s = horizon_for_arrivals(config.seed, config.arrival_rate_hz, n);
+    config.policy = DispatchPolicy::kDynamic;
+    EdgeCloudSystem system(evaluation_.options, wifi_, flat_trace(10.0), config);
+    const SimStats stats = system.run();
+    ASSERT_EQ(stats.completed, n);
+    expect_percentiles_match_sort(system, stats);
+  }
+}
+
+TEST_F(SystemTest, PercentilesMatchAFullSortWithTies) {
+  // All-Edge at light load: every latency is the edge service time, up to
+  // the rounding of (arrival + service) - arrival, so values repeat.
+  SimConfig config;
+  config.duration_s = 600.0;
+  config.arrival_rate_hz = 1.0;
+  config.policy = DispatchPolicy::kFixed;
+  for (std::size_t i = 0; i < evaluation_.options.size(); ++i) {
+    if (evaluation_.options[i].kind == core::DeploymentKind::kAllEdge) config.fixed_option = i;
+  }
+  EdgeCloudSystem system(evaluation_.options, wifi_, flat_trace(10.0), config);
+  const SimStats stats = system.run();
+  const std::vector<double> sorted = expect_percentiles_match_sort(system, stats);
+  EXPECT_NE(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end()) << "no ties";
+}
+
+TEST_F(SystemTest, PercentilesMatchAFullSortWithDrops) {
+  // No edge-only option: the blackout's requests drop and must stay out of
+  // the order statistics.
+  SimConfig config;
+  config.duration_s = 30.0;
+  config.arrival_rate_hz = 5.0;
+  config.max_retries = 1;
+  config.faults.scripted.push_back({FaultClass::kCloudOutage, 5.0, 28.0, 0.0});
+  EdgeCloudSystem system({evaluation_.all_cloud()}, wifi_, flat_trace(10.0), config);
+  const SimStats stats = system.run();
+  ASSERT_GT(stats.dropped, 0u);
+  ASSERT_GT(stats.completed, 0u);
+  expect_percentiles_match_sort(system, stats);
+}
+
+TEST_F(SystemTest, PercentilesMatchAFullSortOnTheServeFaultsConfiguration) {
+  // `lens faults --rate 10 --cloud-machines 8 --jitter 0.5 --breaker 3` at a
+  // short duration, under both policies it compares.
+  const core::DeploymentPlan plan = evaluator_.compile(alexnet_);
+  SimConfig config;
+  config.arrival_rate_hz = 10.0;
+  config.duration_s = 900.0;
+  config.faults.link_outage_rate_hz = 1.0 / 40.0;
+  config.faults.link_outage_mean_s = 5.0;
+  config.faults.cloud_outage_rate_hz = 1.0 / 60.0;
+  config.faults.cloud_outage_mean_s = 8.0;
+  config.faults.rtt_spike_rate_hz = 1.0 / 50.0;
+  config.faults.edge_slowdown_rate_hz = 1.0 / 80.0;
+  config.faults.machine_failure_rate_hz = 1.0 / 90.0;
+  config.faults.brownout_rate_hz = 1.0 / 70.0;
+  config.retry_jitter = 0.5;
+  config.breaker_failures = 3;
+  cloud::CloudConfig cloud;
+  cloud.machines = 8;
+  cloud.machine.capacity_ms_per_s = 4000.0;
+  config.cloud = cloud;
+  // The fixed policy pins the fastest option that transmits.
+  const core::DeploymentEvaluation priced = plan.price(10.0);
+  SimConfig fixed = config;
+  fixed.policy = DispatchPolicy::kFixed;
+  fixed.fixed_option = priced.options.size();
+  for (std::size_t i = 0; i < priced.options.size(); ++i) {
+    if (priced.options[i].tx_bytes == 0) continue;
+    if (fixed.fixed_option == priced.options.size() ||
+        priced.options[i].latency_ms < priced.options[fixed.fixed_option].latency_ms) {
+      fixed.fixed_option = i;
+    }
+  }
+  ASSERT_LT(fixed.fixed_option, priced.options.size());
+  config.policy = DispatchPolicy::kDynamic;
+  std::size_t failed_attempts = 0;
+  for (const SimConfig& c : {config, fixed}) {
+    EdgeCloudSystem system(plan, flat_trace(10.0), c);
+    const SimStats stats = system.run();
+    ASSERT_GT(stats.completed, 8000u);
+    failed_attempts += stats.timeouts + stats.shed;
+    expect_percentiles_match_sort(system, stats);
+  }
+  EXPECT_GT(failed_attempts, 0u);
 }
 
 }  // namespace

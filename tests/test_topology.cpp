@@ -429,6 +429,9 @@ TEST_F(TopologyTest, MultiTierErrorPaths) {
   EXPECT_THROW(plan.price(std::vector<double>{3.0}), std::invalid_argument);
   EXPECT_THROW(plan.price(std::vector<double>{3.0, 4.0, 5.0}), std::invalid_argument);
   EXPECT_THROW(plan.price(std::vector<double>{3.0, 0.0}), std::invalid_argument);
+  EXPECT_THROW(plan.price(std::vector<double>{3.0, std::nan("")}), std::invalid_argument);
+  EXPECT_THROW(plan.objectives_at(std::vector<double>{std::nan(""), 4.0}),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
