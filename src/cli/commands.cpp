@@ -159,7 +159,12 @@ struct Rig {
           perf::RooflinePredictor::train(fog_sim, {.samples_per_kind = 400, .seed = 11}));
     }
 
+    // Throughputs must be positive and finite; NaN fails too.
+    const auto valid_mbps = [](double mbps) { return mbps > 0.0 && std::isfinite(mbps); };
     const double tu = args.get_double("tu", default_tu);
+    if (!valid_mbps(tu)) {
+      throw std::invalid_argument("--tu must be a positive, finite throughput in Mbps");
+    }
     if (args.has("hop-bw")) {
       if (args.has("tu")) {
         throw std::invalid_argument(
@@ -173,8 +178,8 @@ struct Rig {
             std::to_string(rig.tiers) + ", got " + std::to_string(hops.size()));
       }
       for (double mbps : hops) {
-        if (!(mbps > 0.0)) {
-          throw std::invalid_argument("--hop-bw throughputs must be positive Mbps");
+        if (!valid_mbps(mbps)) {
+          throw std::invalid_argument("--hop-bw throughputs must be positive, finite Mbps");
         }
       }
       rig.hop_tu = hops;
@@ -187,8 +192,8 @@ struct Rig {
     return rig;
   }
 
-  /// Evaluator over the configured hierarchy. For --tiers 2 this is the
-  /// legacy two-tier evaluator (bit-identical pricing path).
+  /// Evaluator over the configured hierarchy: the paper's edge-cloud pair
+  /// for --tiers 2, the edge-fog-cloud preset for --tiers 3.
   core::DeploymentEvaluator make_evaluator() const {
     if (tiers == 2) return core::DeploymentEvaluator(predictor, comm);
     core::EdgeFogCloudConfig config;
@@ -197,11 +202,6 @@ struct Rig {
         core::edge_fog_cloud(predictor, *fog_predictor, nullptr, config));
   }
 };
-
-/// Price through the frozen scalar path at K=2, the per-hop vector at K=3.
-core::DeploymentEvaluation price_plan(const core::DeploymentPlan& plan, const Rig& rig) {
-  return rig.tiers == 2 ? plan.price(rig.hop_tu[0]) : plan.price(rig.hop_tu);
-}
 
 }  // namespace
 
@@ -213,7 +213,7 @@ int cmd_evaluate(const Args& args) {
   if (args.get_bool("summary")) std::printf("%s\n", dnn::summary(arch).c_str());
 
   const core::DeploymentEvaluator evaluator = rig.make_evaluator();
-  const core::DeploymentEvaluation result = price_plan(evaluator.compile(arch), rig);
+  const core::DeploymentEvaluation result = evaluator.compile(arch).price(rig.hop_tu);
   std::printf("%s @ %.1f Mbps %s (RTT %.0f ms, %s", arch.name().c_str(), rig.hop_tu[0],
               rig.tech_name.c_str(), rig.comm.round_trip_ms(),
               rig.simulator.profile().name.c_str());
@@ -330,7 +330,7 @@ int cmd_thresholds(const Args& args) {
   const core::DeploymentEvaluator evaluator = rig.make_evaluator();
   // One compile serves both the printed evaluation and the deployer curves.
   const core::DeploymentPlan plan = evaluator.compile(arch);
-  const core::DeploymentEvaluation eval = price_plan(plan, rig);
+  const core::DeploymentEvaluation eval = plan.price(rig.hop_tu);
   const std::string metric_name = args.get("metric", "energy");
   runtime::OptimizeFor metric;
   if (metric_name == "energy") {
@@ -340,9 +340,7 @@ int cmd_thresholds(const Args& args) {
   } else {
     throw std::invalid_argument("unknown --metric '" + metric_name + "' (latency|energy)");
   }
-  const runtime::DynamicDeployer deployer =
-      rig.tiers == 2 ? runtime::DynamicDeployer(plan, metric, 0.05, 500.0)
-                     : runtime::DynamicDeployer(plan, metric, rig.hop_tu, 0.05, 500.0);
+  const runtime::DynamicDeployer deployer(plan, metric, rig.hop_tu, 0.05, 500.0);
   if (rig.tiers == 3) {
     std::printf("(backhaul pinned at %.1f Mbps; thresholds are over the radio hop)\n",
                 rig.hop_tu[1]);
@@ -375,7 +373,7 @@ int cmd_simulate(const Args& args) {
   const core::DeploymentEvaluator evaluator = rig.make_evaluator();
   const double tu = rig.hop_tu[0];
   const core::DeploymentPlan plan = evaluator.compile(arch);
-  const core::DeploymentEvaluation eval = price_plan(plan, rig);
+  const core::DeploymentEvaluation eval = plan.price(rig.hop_tu);
 
   sim::SimConfig config;
   config.arrival_rate_hz = args.get_double("rate", 10.0);
@@ -429,7 +427,7 @@ int cmd_faults(const Args& args) {
   const double tu = rig.hop_tu[0];
   const core::DeploymentEvaluator evaluator = rig.make_evaluator();
   const core::DeploymentPlan plan = evaluator.compile(arch);
-  const core::DeploymentEvaluation eval = price_plan(plan, rig);
+  const core::DeploymentEvaluation eval = plan.price(rig.hop_tu);
 
   if (rig.tiers == 2) {
     // Design-time pricing: what each degraded scenario costs, and whether
@@ -613,9 +611,7 @@ int cmd_fleet(const Args& args) {
         "(regional failure domains live on the K-tier hierarchy)");
   }
 
-  fleet::FleetEngine engine = rig.tiers == 2
-                                  ? fleet::FleetEngine(plan, config)
-                                  : fleet::FleetEngine(plan, rig.hop_tu, config);
+  fleet::FleetEngine engine(plan, rig.hop_tu, config);
   if (rig.tiers == 3) {
     std::printf(
         "(nominal backhaul %.1f Mbps; %zu region(s)%s; devices switch over the "
@@ -759,9 +755,7 @@ int cmd_cloud(const Args& args) {
   for (int p = 0; p < 2; ++p) {
     cloud.policy = policies[p];
     config.cloud = cloud;
-    fleet::FleetEngine engine = rig.tiers == 2
-                                    ? fleet::FleetEngine(plan, config)
-                                    : fleet::FleetEngine(plan, rig.hop_tu, config);
+    fleet::FleetEngine engine(plan, rig.hop_tu, config);
     by_policy[p] = engine.run();
     const fleet::FleetStats& stats = by_policy[p];
     std::printf("%-17s %7.2f %9.2f %9.2f %9.2f %9.2f %8.1f %11.1f\n",

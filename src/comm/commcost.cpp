@@ -1,5 +1,6 @@
 #include "comm/commcost.hpp"
 
+#include <limits>
 #include <stdexcept>
 
 namespace lens::comm {
@@ -9,8 +10,9 @@ CommModel::CommModel(WirelessTechnology technology, double round_trip_ms)
 
 CommModel::CommModel(const RadioPowerModel& power_model, double round_trip_ms)
     : power_model_(power_model), round_trip_ms_(round_trip_ms) {
-  if (!(round_trip_ms >= 0.0)) {  // NaN fails too
-    throw std::invalid_argument("CommModel: round-trip latency must be non-negative");
+  // NaN fails too.
+  if (!(round_trip_ms >= 0.0 && round_trip_ms <= std::numeric_limits<double>::max())) {
+    throw std::invalid_argument("CommModel: round-trip latency must be finite and non-negative");
   }
 }
 

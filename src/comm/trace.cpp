@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace lens::comm {
@@ -25,9 +26,11 @@ double ThroughputTrace::max_mbps() const {
 
 TraceGenerator::TraceGenerator(TraceGeneratorConfig config)
     : config_(config), rng_(config.seed) {
-  // Written so that NaN fails every check.
-  if (!(config.mean_mbps > 0.0 && config.sigma >= 0.0 && config.correlation >= 0.0 &&
-        config.correlation < 1.0 && config.floor_mbps > 0.0)) {
+  // Written so that NaN fails every check; the mean and floor must be finite.
+  constexpr double kMax = std::numeric_limits<double>::max();
+  if (!(config.mean_mbps > 0.0 && config.mean_mbps <= kMax && config.sigma >= 0.0 &&
+        config.correlation >= 0.0 && config.correlation < 1.0 && config.floor_mbps > 0.0 &&
+        config.floor_mbps <= kMax)) {
     throw std::invalid_argument("TraceGenerator: invalid configuration");
   }
   if (!(config.outage_start_probability >= 0.0 && config.outage_start_probability < 1.0 &&

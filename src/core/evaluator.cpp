@@ -107,11 +107,6 @@ DeploymentEvaluator::DeploymentEvaluator(TierTopology topology, dnn::DataSizeMod
   config_.cloud_model = topology_.tier(topology_.num_tiers() - 1).model;
 }
 
-DeploymentPlan DeploymentEvaluator::compile(const dnn::Architecture& arch) const {
-  if (topology_.num_tiers() == 2) return compile_two_tier(arch);
-  return compile_multitier(arch);
-}
-
 DeploymentEvaluation DeploymentEvaluator::evaluate(const dnn::Architecture& arch,
                                                    double tu_mbps) const {
   return compile(arch).price(tu_mbps);

@@ -130,8 +130,7 @@ class DeploymentPlan;
 /// Algorithm-1 evaluator bound to a tier topology (performance models per
 /// tier, communication model per hop) and a wire-size policy. The historical
 /// two-argument form — one edge model, one comm model — builds the K=2
-/// topology internally and compiles through a frozen legacy path that is
-/// bit-identical to the pre-K-tier code.
+/// topology internally; every depth compiles through the same lattice walk.
 class DeploymentEvaluator {
  public:
   DeploymentEvaluator(const perf::LayerPerformanceModel& model, comm::CommModel comm,
@@ -145,16 +144,17 @@ class DeploymentEvaluator {
 
   /// Compile `arch` into a throughput-independent DeploymentPlan: runs the
   /// per-layer predictors once, precomputes prefix/suffix sums per tier, the
-  /// feasible (and for K >= 3, dominance-pruned) cut-point lattice, and
-  /// per-option cost curves. The returned plan prices any throughput vector
-  /// in O(options). Defined in core/plan.hpp (include it to use the plan).
+  /// feasible cut-point lattice (at K=2, the paper's candidate splits; for
+  /// K >= 3, dominance-pruned), and per-option cost surfaces. The returned
+  /// plan prices any throughput vector in O(options). Defined in
+  /// core/plan.cpp (include core/plan.hpp to use the plan).
   DeploymentPlan compile(const dnn::Architecture& arch) const;
 
   /// Evaluate all deployment options of `arch` at upload throughput
-  /// `tu_mbps`. Thin compile(arch).price(tu_mbps) wrapper — bit-identical
-  /// to the historical single-stage implementation; prefer holding the plan
-  /// when evaluating the same architecture at several throughputs. Two-tier
-  /// topologies only; deeper hierarchies price with a throughput vector.
+  /// `tu_mbps`. Thin compile(arch).price(tu_mbps) wrapper; prefer holding
+  /// the plan when evaluating the same architecture at several throughputs.
+  /// Two-tier topologies only; deeper hierarchies price with a throughput
+  /// vector.
   DeploymentEvaluation evaluate(const dnn::Architecture& arch, double tu_mbps) const;
 
   const comm::CommModel& comm() const { return topology_.hop(0); }
@@ -163,9 +163,6 @@ class DeploymentEvaluator {
   const TierTopology& topology() const { return topology_; }
 
  private:
-  DeploymentPlan compile_two_tier(const dnn::Architecture& arch) const;
-  DeploymentPlan compile_multitier(const dnn::Architecture& arch) const;
-
   TierTopology topology_;
   EvaluatorConfig config_;
 };

@@ -51,9 +51,9 @@ struct NasConfig {
   double tu_mbps = 3.0;  ///< expected upload throughput (paper: 3 Mbps)
   /// K-tier searches: expected throughput per hop (radio first). When
   /// non-empty it must match the evaluator topology's hop count and replaces
-  /// tu_mbps for pricing; leave empty for two-tier searches, whose pricing
-  /// path is byte-for-byte the legacy scalar one. The memoized plans are
-  /// throughput-independent either way, so the cache key stays the genotype.
+  /// tu_mbps for pricing; leave empty for two-tier searches, which price at
+  /// tu_mbps. The memoized plans are throughput-independent either way, so
+  /// the cache key stays the genotype.
   std::vector<double> hop_tu_mbps;
   ObjectiveMode mode = ObjectiveMode::kBestDeployment;
   /// Cross-config warm start (kMobo only): these genotypes are re-evaluated

@@ -2,27 +2,26 @@
 // Compiled deployment plans: Algorithm 1 split into compile(arch) / price(tu).
 //
 // compile() runs the per-layer performance predictors exactly once and
-// precomputes everything that does not depend on the upload throughput:
-// latency/energy prefix sums, cloud suffix sums, memory-feasible split
-// points, and the closed-form cost-vs-t_u curve pair of every option
-// (constant + per_inverse_tu / t_u, with the comm algebra supplied by
+// precomputes everything that does not depend on the throughputs: per-tier
+// latency sums, energy and weight prefix sums, the memory-feasible cut-point
+// options, and the closed-form cost surface of every option (constant +
+// sum_h per_inverse_tu[h] / t_h, with the comm algebra supplied by
 // comm::CommModel). price() then produces a full DeploymentEvaluation in
 // O(options) with zero predictor calls — and, via price_into / objectives_at,
 // zero allocation — so multi-throughput consumers (robust evaluation,
 // regional portfolios, threshold analysis, the serving simulator) pay the
 // predictor pipeline once per architecture instead of once per query.
 //
-// Determinism contract: price(tu) reproduces the pre-refactor
-// DeploymentEvaluator::evaluate(arch, tu) bit-for-bit (same arithmetic,
-// same operation order, same option ordering), so plans can be cached and
-// shared freely without perturbing search trajectories.
-//
-// K-tier plans: when the evaluator is built from a TierTopology with K >= 3
-// tiers, the option set is the dominance-pruned cut-point lattice
-// (0 <= c_1 <= ... <= c_{K-1} <= n) and pricing takes a per-hop throughput
-// vector. Plans stay throughput-independent — the NAS memo cache keyed by
-// genotype alone is unaffected. Two-tier plans are compiled by the frozen
-// legacy path above, so the determinism contract holds verbatim at K=2.
+// Every hierarchy depth compiles through the same cut-vector lattice walk
+// and prices through the same per-option loop, which takes one throughput
+// per hop. The classic edge-cloud pair is its K=2, one-hop case: the options
+// are All-Cloud, each split that ships fewer bytes than the raw input, and
+// All-Edge, in that order, and the loop adds edge + comm + cloud in the order
+// the paper's single-stage evaluation always did, so two-tier results are
+// bit-identical to it (tests/test_plan.cpp keeps that evaluation as a frozen
+// reference). K >= 3 plans are dominance-pruned. Plans stay
+// throughput-independent — the NAS memo cache keyed by genotype alone is
+// unaffected.
 
 #include <cstddef>
 #include <cstdint>
@@ -71,9 +70,9 @@ class DeploymentPlan {
   std::size_t num_hops() const { return num_tiers_ - 1; }
   const std::vector<std::string>& tier_names() const { return tier_names_; }
 
-  /// Closed-form cost-vs-t_u curve of each option, aligned with options().
-  /// Two-tier plans only; K >= 3 plans expose latency_surfaces() instead
-  /// (these stay empty there).
+  /// Closed-form cost-vs-t_u curve of each option, aligned with options():
+  /// the one-hop surfaces' coefficients. Two-tier plans only; K >= 3 plans
+  /// expose latency_surfaces() instead (these stay empty there).
   const std::vector<comm::CostCurve>& latency_curves() const { return latency_curves_; }
   const std::vector<comm::CostCurve>& energy_curves() const { return energy_curves_; }
 
@@ -105,14 +104,13 @@ class DeploymentPlan {
                                    const std::vector<double>& fixed_tu_mbps,
                                    std::vector<comm::CostCurve>& out) const;
 
-  /// End-to-end cost of option `index` at throughput `tu_mbps`, using the
-  /// exact arithmetic of the legacy evaluate() path (bit-identical).
-  /// Two-tier plans only.
+  /// End-to-end cost of option `index` at radio throughput `tu_mbps`.
+  /// Two-tier plans only (throws std::logic_error otherwise).
   double option_latency_ms(std::size_t index, double tu_mbps) const;
   double option_energy_mj(std::size_t index, double tu_mbps) const;
 
-  /// Per-hop-throughput forms; at K=2 a one-element vector delegates to the
-  /// scalar (bit-identical) path.
+  /// Per-hop-throughput forms (one entry per hop, radio first); the scalar
+  /// forms above are these at K=2.
   double option_latency_ms(std::size_t index, const std::vector<double>& tu_mbps) const;
   double option_energy_mj(std::size_t index, const std::vector<double>& tu_mbps) const;
 
@@ -120,8 +118,8 @@ class DeploymentPlan {
   /// Two-tier plans only (throws std::logic_error otherwise).
   DeploymentEvaluation price(double tu_mbps) const;
 
-  /// K-tier pricing: one throughput per hop, tu_mbps[0] being the device
-  /// radio. A one-element vector on a two-tier plan takes the scalar path.
+  /// K-tier pricing: one positive, finite throughput per hop, tu_mbps[0]
+  /// being the device radio.
   DeploymentEvaluation price(const std::vector<double>& tu_mbps) const;
 
   /// As price(), but reuses `out`'s storage — allocation-free once the
@@ -133,12 +131,9 @@ class DeploymentPlan {
   PricedObjectives objectives_at(double tu_mbps) const;
   PricedObjectives objectives_at(const std::vector<double>& tu_mbps) const;
 
-  /// objectives_at over a throughput sweep (one result per input, in order).
-  /// Two-tier plans sweep the radio throughput; K >= 3 plans use
-  /// price_batch_per_hop below.
+  /// objectives_at over a radio-throughput sweep (one result per input, in
+  /// order). Two-tier plans only.
   std::vector<PricedObjectives> price_batch(const std::vector<double>& tus_mbps) const;
-  std::vector<PricedObjectives> price_batch_per_hop(
-      const std::vector<std::vector<double>>& tus_mbps) const;
 
   /// Allocation-free core of price_batch: writes out[i] = objective minima
   /// at tus_mbps[i] into caller-owned storage (out.size() must match).
@@ -147,15 +142,20 @@ class DeploymentPlan {
   void price_batch_into(std::span<const double> tus_mbps,
                         std::span<PricedObjectives> out) const;
 
-  /// Per-hop allocation-free variant (K >= 3 plans): one throughput vector
-  /// per result slot, written into caller-owned `out`.
-  void price_batch_per_hop_into(std::span<const std::vector<double>> tus_mbps,
-                                std::span<PricedObjectives> out) const;
-
  private:
   friend class DeploymentEvaluator;
 
   void require_two_tier(const char* what) const;
+  void check_arity(std::span<const double> tu_mbps) const;
+  /// Throws std::invalid_argument unless there is one positive, finite
+  /// throughput per hop, then std::logic_error on an empty plan.
+  void check_priceable(std::span<const double> tu_mbps) const;
+  /// The one pricing loop: option `o` at one throughput per hop, in
+  /// pipeline order (tier 0, hop 0, tier 1, ...).
+  double latency_at(const DeploymentOption& o, std::span<const double> tu_mbps) const;
+  double energy_at(const DeploymentOption& o, std::span<const double> tu_mbps) const;
+  void price_span_into(std::span<const double> tu_mbps, DeploymentEvaluation& out) const;
+  PricedObjectives objectives_span(std::span<const double> tu_mbps) const;
 
   std::vector<DeploymentOption> options_;
   std::vector<comm::CostCurve> latency_curves_;

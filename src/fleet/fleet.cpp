@@ -373,19 +373,7 @@ void FleetEngine::validate() const {
 }
 
 FleetEngine::FleetEngine(const core::DeploymentPlan& plan, FleetConfig config)
-    : plan_(plan), config_(std::move(config)) {
-  if (plan_.num_hops() > 1) {
-    throw std::invalid_argument("FleetEngine: K-tier plan needs the per-hop ctor");
-  }
-  latency_curves_ = plan_.latency_curves();
-  energy_curves_ = plan_.energy_curves();
-  two_tier_ = true;
-  validate();
-  const auto& sel = config_.metric == runtime::OptimizeFor::kLatency ? latency_curves_
-                                                                     : energy_curves_;
-  intervals_ = runtime::dominance_intervals(sel, config_.tu_min, config_.tu_max);
-  fallback_option_ = cheapest_edge_only(plan_.options(), sel);
-}
+    : FleetEngine(plan, std::vector<double>{0.0}, std::move(config)) {}
 
 FleetEngine::FleetEngine(const core::DeploymentPlan& plan,
                          const std::vector<double>& hop_tu_mbps, FleetConfig config)

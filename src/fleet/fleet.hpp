@@ -219,7 +219,8 @@ struct FleetStats {
 /// seeded initial state and returns the same report).
 class FleetEngine {
  public:
-  /// Two-tier plan: selection and pricing on the radio-throughput axis.
+  /// Two-tier plan: selection and pricing on the radio-throughput axis (the
+  /// per-hop ctor below with no backhaul to pin).
   FleetEngine(const core::DeploymentPlan& plan, FleetConfig config);
 
   /// K-tier plan with NOMINAL backhaul rates hop_tu_mbps[h] for hops past

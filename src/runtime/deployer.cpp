@@ -2,6 +2,7 @@
 
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace lens::runtime {
 
@@ -20,25 +21,19 @@ DynamicDeployer::DynamicDeployer(std::vector<core::DeploymentOption> options,
 
 DynamicDeployer::DynamicDeployer(const core::DeploymentPlan& plan, OptimizeFor metric,
                                  double tu_min, double tu_max)
-    : options_(plan.options()),
-      curves_(metric == OptimizeFor::kLatency ? plan.latency_curves()
-                                              : plan.energy_curves()),
-      metric_(metric),
-      tu_min_(tu_min) {
-  if (options_.empty()) throw std::invalid_argument("DynamicDeployer: empty plan");
-  if (plan.num_hops() > 1) {
-    throw std::invalid_argument(
-        "DynamicDeployer: K-tier plan needs the per-hop throughput ctor");
-  }
-  intervals_ = dominance_intervals(curves_, tu_min, tu_max);
-  find_edge_only();
-}
+    : DynamicDeployer(plan, metric, std::vector<double>{0.0}, tu_min, tu_max) {}
 
 DynamicDeployer::DynamicDeployer(const core::DeploymentPlan& plan, OptimizeFor metric,
                                  const std::vector<double>& hop_tu_mbps, double tu_min,
                                  double tu_max)
     : options_(plan.options()), metric_(metric), tu_min_(tu_min) {
   if (options_.empty()) throw std::invalid_argument("DynamicDeployer: empty plan");
+  if (hop_tu_mbps.size() != plan.num_hops()) {
+    throw std::invalid_argument(
+        "DynamicDeployer: hop_tu_mbps needs one entry per hop (radio first): plan has " +
+        std::to_string(plan.num_hops()) + " hop(s), got " +
+        std::to_string(hop_tu_mbps.size()));
+  }
   // Collapse the multi-hop surfaces onto the radio axis; at K=2 this yields
   // the very same coefficients as the plan's 1-D curves.
   curves_ = metric == OptimizeFor::kLatency

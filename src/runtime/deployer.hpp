@@ -101,14 +101,16 @@ class DynamicDeployer {
   DynamicDeployer(std::vector<core::DeploymentOption> options, const comm::CommModel& comm,
                   OptimizeFor metric, double tu_min = 0.05, double tu_max = 1000.0);
 
-  /// All options of a compiled plan, with the cost curves taken straight
-  /// from the plan (no re-derivation of the comm algebra).
+  /// All options of a two-tier plan: the per-hop ctor below with no hop to
+  /// pin.
   DynamicDeployer(const core::DeploymentPlan& plan, OptimizeFor metric,
                   double tu_min = 0.05, double tu_max = 1000.0);
 
-  /// K-tier plan with the hops past the radio pinned at `hop_tu_mbps[h]`
-  /// (full per-hop vector; entry 0 — the radio — stays the selection axis
-  /// and its value is ignored). At K=2 this is exactly the plan ctor above.
+  /// All options of a compiled plan, with the hops past the radio pinned at
+  /// `hop_tu_mbps[h]` (full per-hop vector; entry 0 — the radio — stays the
+  /// selection axis and its value is ignored). The cost curves are the
+  /// plan's surfaces collapsed onto the radio axis, so no comm algebra is
+  /// re-derived.
   DynamicDeployer(const core::DeploymentPlan& plan, OptimizeFor metric,
                   const std::vector<double>& hop_tu_mbps, double tu_min = 0.05,
                   double tu_max = 1000.0);

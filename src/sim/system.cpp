@@ -1,10 +1,10 @@
 #include "sim/system.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <random>
 #include <stdexcept>
+#include <string>
 
 #include "cloud/scheduler.hpp"
 #include "par/substream.hpp"
@@ -79,35 +79,28 @@ EdgeCloudSystem::EdgeCloudSystem(const core::DeploymentPlan& plan,
       num_hops_(plan.num_hops()) {
   if (options_.empty()) throw std::invalid_argument("EdgeCloudSystem: empty plan");
   validate_config(config_, options_.size());
-  if (num_hops_ == 1) {
-    curves_ = config_.metric == runtime::OptimizeFor::kLatency ? plan.latency_curves()
-                                                               : plan.energy_curves();
-  } else {
-    if (config_.backhaul_tu_mbps.size() != num_hops_ - 1) {
-      throw std::invalid_argument(
-          "EdgeCloudSystem: a K-tier plan needs backhaul_tu_mbps with one "
-          "entry per hop past the radio");
-    }
-    for (double tu : config_.backhaul_tu_mbps) {
-      if (!(tu > 0.0) || !std::isfinite(tu)) {
-        throw std::invalid_argument(
-            "EdgeCloudSystem: backhaul throughputs must be positive");
-      }
-    }
-    // Dispatch curves: the plan's surfaces collapsed onto the radio axis at
-    // the nominal backhaul rates.
-    std::vector<double> pinned;
-    pinned.reserve(num_hops_);
-    pinned.push_back(1.0);  // free axis; ignored by collapse
-    pinned.insert(pinned.end(), config_.backhaul_tu_mbps.begin(),
-                  config_.backhaul_tu_mbps.end());
-    curves_ = config_.metric == runtime::OptimizeFor::kLatency
-                  ? plan.collapsed_latency_curves(0, pinned)
-                  : plan.collapsed_energy_curves(0, pinned);
-    later_hops_.reserve(num_hops_ - 1);
-    for (std::size_t h = 1; h < num_hops_; ++h) later_hops_.push_back(plan.hop(h));
-    backhaul_tu_ = config_.backhaul_tu_mbps;
+  if (config_.backhaul_tu_mbps.size() != num_hops_ - 1) {
+    throw std::invalid_argument(
+        "EdgeCloudSystem: backhaul_tu_mbps needs one entry per hop past the radio: "
+        "plan has " + std::to_string(num_hops_) + " hop(s), got " +
+        std::to_string(config_.backhaul_tu_mbps.size()) + " backhaul rate(s)");
   }
+  for (double tu : config_.backhaul_tu_mbps) {
+    if (!positive_finite(tu)) {
+      throw std::invalid_argument(
+          "EdgeCloudSystem: backhaul throughputs must be positive and finite");
+    }
+  }
+  // Dispatch curves: the plan's surfaces collapsed onto the radio axis at
+  // the nominal backhaul rates (at K=2, the plan's 1-D curves).
+  std::vector<double> pinned{1.0};  // free axis; ignored by collapse
+  pinned.insert(pinned.end(), config_.backhaul_tu_mbps.begin(),
+                config_.backhaul_tu_mbps.end());
+  curves_ = config_.metric == runtime::OptimizeFor::kLatency
+                ? plan.collapsed_latency_curves(0, pinned)
+                : plan.collapsed_energy_curves(0, pinned);
+  for (std::size_t h = 1; h < num_hops_; ++h) later_hops_.push_back(plan.hop(h));
+  backhaul_tu_ = config_.backhaul_tu_mbps;
   find_fallback_option();
 }
 

@@ -63,7 +63,7 @@ struct SimConfig {
   /// K-tier plans only: nominal throughput of each hop past the radio
   /// (backhaul_tu_mbps[i] feeds hop i + 1). Required to match the plan's
   /// hop count; backhaul transfers run at these rates, stretched by any
-  /// active per-hop deep-fade episode. Leave empty for two-tier plans.
+  /// active per-hop deep-fade episode. Must be empty for two-tier plans.
   std::vector<double> backhaul_tu_mbps;
   /// Client-side timeout armed when a transmitted payload reaches an
   /// unavailable cloud: the attempt fails this many ms after send
@@ -171,10 +171,10 @@ class EdgeCloudSystem {
                   comm::ThroughputTrace trace, SimConfig config);
 
   /// Serve a compiled plan: options, comm model, and dispatch cost curves
-  /// are all taken from the plan (no curve re-derivation). For K-tier plans
-  /// the dispatch curves are the plan's surfaces collapsed onto the radio
-  /// axis at SimConfig::backhaul_tu_mbps (which must then match the plan's
-  /// hop count), and served requests traverse the whole tier chain: radio
+  /// are all taken from the plan (no curve re-derivation). The dispatch
+  /// curves are the plan's surfaces collapsed onto the radio axis at
+  /// SimConfig::backhaul_tu_mbps (one entry per hop past the radio). On
+  /// K-tier plans served requests traverse the whole tier chain: radio
   /// send, per-fog-tier compute, and each backhaul hop at its nominal rate
   /// under that hop's own deep fades and RTT spikes.
   EdgeCloudSystem(const core::DeploymentPlan& plan, comm::ThroughputTrace trace,

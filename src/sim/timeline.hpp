@@ -12,14 +12,14 @@ class ResourceTimeline {
   /// Schedule a job that becomes ready at `ready_time_s` and occupies the
   /// resource for `duration_s`. Returns its completion time. Jobs must be
   /// scheduled in ready-time order (FIFO); throws std::invalid_argument on
-  /// negative durations or out-of-order scheduling beyond tolerance.
+  /// negative or NaN durations or out-of-order scheduling beyond tolerance.
   double schedule(double ready_time_s, double duration_s);
 
   /// As schedule(), but without the FIFO ready-order check: the job queues
   /// behind everything scheduled so far even if its ready time lies in the
   /// past. Used for degraded-mode traffic injected out of arrival order
-  /// (timeout fallbacks re-executing on the edge); throws on negative
-  /// durations or ready times.
+  /// (timeout fallbacks re-executing on the edge); throws on negative or NaN
+  /// durations and on negative ready times.
   double schedule_unordered(double ready_time_s, double duration_s);
 
   /// Time until which the resource is busy (0 when never used).

@@ -146,6 +146,13 @@ TEST(Commands, BadOptionValueIsUserError) {
   EXPECT_EQ(run_command(parse({"fleet", "--devices", "1000", "--steps", "4", "--rtt", "nan"})),
             1);
   EXPECT_EQ(run_command(parse({"evaluate", "--tu", "nan"})), 1);
+  // Infinite throughput or RTT fails by name instead of pricing NaN energy.
+  EXPECT_EQ(run_command(parse({"evaluate", "--tu", "inf"})), 1);
+  EXPECT_EQ(run_command(parse({"simulate", "--duration", "5", "--tu", "inf"})), 1);
+  EXPECT_EQ(run_command(parse({"fleet", "--devices", "1000", "--steps", "4", "--tu", "inf"})),
+            1);
+  EXPECT_EQ(run_command(parse({"simulate", "--duration", "5", "--rtt", "inf"})), 1);
+  EXPECT_EQ(run_command(parse({"evaluate", "--tiers", "3", "--hop-bw", "5,inf"})), 1);
 }
 
 TEST(Commands, EvaluateRuns) {

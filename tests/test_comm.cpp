@@ -1,6 +1,7 @@
 // Tests for wireless power models, communication cost math, and traces.
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -78,6 +79,8 @@ TEST(CommModel, ZeroBytesCostOnlyRoundTrip) {
 TEST(CommModel, Validation) {
   EXPECT_THROW(CommModel(WirelessTechnology::kWifi, -1.0), std::invalid_argument);
   EXPECT_THROW(CommModel(WirelessTechnology::kWifi, std::nan("")), std::invalid_argument);
+  EXPECT_THROW(CommModel(WirelessTechnology::kWifi, std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
   const CommModel model(WirelessTechnology::kWifi, 10.0);
   EXPECT_THROW(model.tx_latency_ms(100, 0.0), std::invalid_argument);
   EXPECT_THROW(model.tx_energy_mj(100, -2.0), std::invalid_argument);
@@ -113,6 +116,12 @@ TEST(TraceGenerator, ValidatesConfig) {
   EXPECT_THROW(TraceGenerator{bad}, std::invalid_argument);
   bad = {};
   bad.floor_mbps = std::nan("");
+  EXPECT_THROW(TraceGenerator{bad}, std::invalid_argument);
+  bad = {};
+  bad.mean_mbps = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(TraceGenerator{bad}, std::invalid_argument);
+  bad = {};
+  bad.floor_mbps = std::numeric_limits<double>::infinity();
   EXPECT_THROW(TraceGenerator{bad}, std::invalid_argument);
   TraceGenerator ok;
   EXPECT_THROW(ok.generate(0), std::invalid_argument);

@@ -325,18 +325,6 @@ TEST(PriceBatchInto, Validation) {
   EXPECT_THROW(plan.price_batch_into(ok, short_out), std::invalid_argument);
 }
 
-TEST(PriceBatchPerHopInto, MatchesObjectivesAt) {
-  const core::DeploymentPlan& plan = alexnet_plan();
-  std::vector<std::vector<double>> tus{{3.0}, {8.0}, {21.0}};
-  std::vector<core::PricedObjectives> got(tus.size());
-  plan.price_batch_per_hop_into(tus, got);
-  for (std::size_t i = 0; i < tus.size(); ++i) {
-    const core::PricedObjectives oracle = plan.objectives_at(tus[i]);
-    EXPECT_EQ(got[i].best_latency_ms, oracle.best_latency_ms);
-    EXPECT_EQ(got[i].best_energy_mj, oracle.best_energy_mj);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // sim::FaultSchedule::generate_for_device
 // ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -253,6 +254,9 @@ TEST_F(PlanTest, Validation) {
   EXPECT_THROW(plan.objectives_at(0.0), std::invalid_argument);
   EXPECT_THROW(plan.price(std::nan("")), std::invalid_argument);
   EXPECT_THROW(plan.objectives_at(std::nan("")), std::invalid_argument);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(plan.price(inf), std::invalid_argument);
+  EXPECT_THROW(plan.objectives_at(inf), std::invalid_argument);
   const DeploymentPlan empty;
   EXPECT_THROW(empty.price(3.0), std::logic_error);
   EXPECT_THROW(empty.objectives_at(3.0), std::logic_error);
@@ -269,10 +273,14 @@ TEST_F(PlanTest, PriceBatchValidationMatchesScalarPath) {
   EXPECT_THROW(plan.price_batch({3.0, -1.0}), std::invalid_argument);
   EXPECT_THROW(plan.price_batch({std::nan(""), 3.0}), std::invalid_argument);
   EXPECT_THROW(plan.price_batch({3.0, std::nan("")}), std::invalid_argument);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(plan.price_batch({inf, 3.0}), std::invalid_argument);
+  EXPECT_THROW(plan.price_batch({3.0, inf}), std::invalid_argument);
   const DeploymentPlan empty;
   EXPECT_TRUE(empty.price_batch({}).empty());
   EXPECT_THROW(empty.price_batch({3.0}), std::logic_error);
   EXPECT_THROW(empty.price_batch({0.0}), std::invalid_argument);  // tu checked first
+  EXPECT_THROW(empty.price_batch({inf}), std::invalid_argument);
 }
 
 TEST_F(PlanTest, PlanOutlivesItsEvaluator) {

@@ -36,6 +36,8 @@ TEST(Timeline, FifoQueueing) {
 TEST(Timeline, Validation) {
   ResourceTimeline timeline;
   EXPECT_THROW(timeline.schedule(0.0, -1.0), std::invalid_argument);
+  EXPECT_THROW(timeline.schedule(0.0, std::nan("")), std::invalid_argument);
+  EXPECT_THROW(timeline.schedule_unordered(0.0, std::nan("")), std::invalid_argument);
   timeline.schedule(5.0, 1.0);
   EXPECT_THROW(timeline.schedule(1.0, 1.0), std::invalid_argument);  // out of order
 }

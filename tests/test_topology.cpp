@@ -4,7 +4,7 @@
 // substreams, and the 3-tier serving simulation. The K=2 guarantees are
 // frozen-reference checks: an evaluator built through TierTopology must be
 // field-for-field identical to the historical two-argument evaluator, and
-// the vector price path must delegate to the scalar (legacy) arithmetic.
+// the scalar and one-element vector price forms must agree bit for bit.
 
 #include <algorithm>
 #include <cmath>
@@ -134,8 +134,8 @@ TEST_F(TopologyTest, EdgeFogCloudPresetShape) {
 
 // ---------------------------------------------------------------------------
 // K=2 frozen-reference equivalence: a topology-built evaluator and the
-// historical two-argument evaluator must agree bit for bit, and the vector
-// price forms must delegate to the scalar legacy path.
+// historical two-argument evaluator must agree bit for bit, and so must the
+// scalar and one-element vector price forms.
 // ---------------------------------------------------------------------------
 
 TEST_F(TopologyTest, TwoTierTopologyIsBitIdenticalToLegacyEvaluator) {
@@ -154,7 +154,7 @@ TEST_F(TopologyTest, TwoTierTopologyIsBitIdenticalToLegacyEvaluator) {
       ASSERT_EQ(b.num_tiers(), 2u);
       for (double tu : tu_sweep()) {
         expect_identical(b.price(tu), a.price(tu));
-        // A one-element throughput vector takes the exact scalar path.
+        // A one-element throughput vector prices exactly as the scalar form.
         expect_identical(b.price(std::vector<double>{tu}), a.price(tu));
       }
     }
@@ -498,7 +498,8 @@ TEST_F(TopologyTest, SwitchingSurfaceValidation) {
   EXPECT_THROW(runtime::switching_surface({}, 0.05, 500.0, 1.0, 400.0, 6),
                std::invalid_argument);
   const DeploymentEvaluator three(three_tier());
-  const auto& surfaces = three.compile(dnn::alexnet()).latency_surfaces();
+  const DeploymentPlan three_plan = three.compile(dnn::alexnet());
+  const auto& surfaces = three_plan.latency_surfaces();
   EXPECT_THROW(runtime::switching_surface(surfaces, 0.05, 500.0, 1.0, 400.0, 1),
                std::invalid_argument);
   EXPECT_THROW(runtime::switching_surface(surfaces, 5.0, 5.0, 1.0, 400.0, 6),
