@@ -64,8 +64,8 @@ class SurrogateAccuracyModel final : public AccuracyModel {
 
 /// Memoizing decorator: caches per-genotype results of an underlying model.
 /// Worth wrapping around TrainedAccuracyEvaluator (minutes per miss) when
-/// local refinement or portfolio planning re-queries genotypes; safe for
-/// any deterministic model. Not thread-safe.
+/// portfolio planning re-queries genotypes; safe for any deterministic
+/// model. Not thread-safe.
 class CachedAccuracyModel final : public AccuracyModel {
  public:
   /// `inner` must outlive this object.

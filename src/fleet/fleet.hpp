@@ -161,8 +161,10 @@ struct FleetStats {
   std::uint64_t outage_readings = 0;  ///< tracker outage updates (faults)
 
   /// Oracle columns: per-device-step objective minima over the full option
-  /// set at the realized throughput (price_batch_into) — the regret
-  /// reference the dynamic tracker+hysteresis policy is compared against.
+  /// set at the realized throughput — the regret reference the dynamic
+  /// tracker+hysteresis policy is compared against. A one-hop plan prices
+  /// them with price_batch_into, a K-tier plan as the minimum over its
+  /// region's realized curves.
   double oracle_mean_latency_ms = 0.0;
   double oracle_mean_energy_mj = 0.0;
 
@@ -177,7 +179,7 @@ struct FleetStats {
   double mean_queue_wait_ms = 0.0;   ///< admitted-weighted pool queueing wait
   double mean_machines_active = 0.0; ///< machines hosting load, mean per step
 
-  // ---- regional / fog columns (zero or empty on the two-tier path) ----
+  // ---- regional / fog columns (zero or empty for a two-tier plan) ----
   std::uint64_t fog_shed = 0;        ///< device-steps shed by regional fog pools
   std::uint64_t degraded_steps = 0;  ///< device-steps served off the selected option
   double fog_energy_j = 0.0;         ///< all regional fog pools over the run
@@ -246,10 +248,12 @@ class FleetEngine {
   const FleetConfig& config() const { return config_; }
 
  private:
+  class Run;  ///< one run's device state and step phases (fleet.cpp)
+
   void validate() const;
-  /// K-tier precomputation: per-option tier/hop tables and the degradation
-  /// ladder targets (best option confined to tiers 0..h, best cloud-direct
-  /// option) under the selection metric at the staged trace mean.
+  /// Per-option tier/hop tables and the degradation ladder targets (best
+  /// option confined to tiers 0..h, best cloud-direct option) under the
+  /// selection metric at the staged trace mean.
   void build_ladder_tables();
 
   core::DeploymentPlan plan_;
@@ -257,12 +261,11 @@ class FleetEngine {
   std::vector<comm::CostCurve> latency_curves_;
   std::vector<comm::CostCurve> energy_curves_;
   std::vector<runtime::DominanceInterval> intervals_;
-  bool two_tier_ = true;
   /// Cheapest edge-only option under the selected metric (the shed /
   /// breaker fallback target); nullopt when every option transmits.
   std::optional<std::uint32_t> fallback_option_;
 
-  // ---- K-tier regional tables (empty on the two-tier path) -------------
+  // ---- per-hop and per-tier tables (one hop and two tiers at K=2) ------
   std::vector<double> hop_tu_;         ///< nominal per-hop rates (per-hop ctor)
   std::vector<double> fog_ms_;         ///< per option: fog-tier compute (ms)
   std::vector<double> cloud_ms_;       ///< per option: last-tier compute (ms)

@@ -24,8 +24,11 @@
 
 namespace lens::io {
 
-/// FNV-1a offset basis (64-bit); the same constant the MOBO duplicate index
-/// and the genotype cache already use.
+/// The repository's own FNV-1a offset basis, not the textbook 64-bit one
+/// (14695981039346656037): it drops that value's last digit. Every file
+/// footer, checkpoint frame, golden pin and perfbench digest depends on it,
+/// as do the MOBO duplicate index and the genotype cache, so changing it is
+/// a declared re-baseline.
 inline constexpr std::uint64_t kFnvOffsetBasis = 1469598103934665603ull;
 inline constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 

@@ -16,7 +16,7 @@ DynamicDeployer::DynamicDeployer(std::vector<core::DeploymentOption> options,
     curves_.push_back(cost_curve(o, comm, metric));
   }
   intervals_ = dominance_intervals(curves_, tu_min, tu_max);
-  find_edge_only();
+  edge_only_ = runtime::cheapest_edge_only(options_, curves_);
 }
 
 DynamicDeployer::DynamicDeployer(const core::DeploymentPlan& plan, OptimizeFor metric,
@@ -40,7 +40,22 @@ DynamicDeployer::DynamicDeployer(const core::DeploymentPlan& plan, OptimizeFor m
                 ? plan.collapsed_latency_curves(0, hop_tu_mbps)
                 : plan.collapsed_energy_curves(0, hop_tu_mbps);
   intervals_ = dominance_intervals(curves_, tu_min, tu_max);
-  find_edge_only();
+  edge_only_ = runtime::cheapest_edge_only(options_, curves_);
+}
+
+std::optional<std::size_t> cheapest_edge_only(std::span<const core::DeploymentOption> options,
+                                              std::span<const CostCurve> curves) {
+  std::optional<std::size_t> best;
+  double best_cost = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < options.size(); ++i) {
+    if (options[i].tx_bytes != 0) continue;
+    const double cost = curves[i].value(1.0);
+    if (cost < best_cost) {
+      best_cost = cost;
+      best = i;
+    }
+  }
+  return best;
 }
 
 namespace {
@@ -85,20 +100,6 @@ std::size_t DynamicDeployer::select_hop_unreachable(std::size_t down_hop) const 
   }
   throw std::logic_error(
       "select_hop_unreachable: option set has no member below the dead hop");
-}
-
-void DynamicDeployer::find_edge_only() {
-  // Edge-only cost curves are constant in throughput, so comparing them at
-  // any point (here 1 Mbps) ranks them correctly.
-  double best_cost = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < options_.size(); ++i) {
-    if (options_[i].tx_bytes != 0) continue;
-    const double cost = curves_[i].value(1.0);
-    if (cost < best_cost) {
-      best_cost = cost;
-      edge_only_ = i;
-    }
-  }
 }
 
 std::size_t DynamicDeployer::select_cloud_unreachable() const {

@@ -71,6 +71,13 @@ inline std::size_t select_option(std::span<const DominanceInterval> intervals,
                                        : intervals.back().option_index;
 }
 
+/// Cheapest edge-only option (tx_bytes == 0) under `curves`: the fallback
+/// when the cloud is out of reach; nullopt when every option transmits.
+/// Edge-only curves are constant in throughput, so pricing them at 1 Mbps
+/// ranks them everywhere; a tie keeps the lower index.
+std::optional<std::size_t> cheapest_edge_only(std::span<const core::DeploymentOption> options,
+                                              std::span<const CostCurve> curves);
+
 /// Stateless hysteresis core: keep `current` unless the cheapest option
 /// beats it by more than `margin` (relative). Bit-identical to
 /// DynamicDeployer::select_with_hysteresis on the same curves/intervals.
@@ -180,7 +187,6 @@ class DynamicDeployer {
  private:
   /// Point-query outage clamp: non-positive throughput prices as tu_min_.
   double effective_tu(double tu_mbps) const { return tu_mbps > 0.0 ? tu_mbps : tu_min_; }
-  void find_edge_only();
 
   std::vector<core::DeploymentOption> options_;
   std::vector<CostCurve> curves_;

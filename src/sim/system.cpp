@@ -8,6 +8,7 @@
 
 #include "cloud/scheduler.hpp"
 #include "par/substream.hpp"
+#include "runtime/deployer.hpp"
 
 namespace lens::sim {
 
@@ -105,17 +106,7 @@ EdgeCloudSystem::EdgeCloudSystem(const core::DeploymentPlan& plan,
 }
 
 void EdgeCloudSystem::find_fallback_option() {
-  // Cheapest edge-only option under the configured metric. Its cost curve
-  // is constant (per_inverse_tu == 0), so any throughput prices it.
-  double best_cost = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < options_.size(); ++i) {
-    if (options_[i].tx_bytes != 0) continue;
-    const double cost = curves_[i].value(1.0);
-    if (cost < best_cost) {
-      best_cost = cost;
-      fallback_option_ = i;
-    }
-  }
+  fallback_option_ = runtime::cheapest_edge_only(options_, curves_);
   for (const core::DeploymentOption& o : options_) {
     if (!reaches_cloud(o)) {
       has_sub_cloud_option_ = true;

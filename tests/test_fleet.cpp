@@ -9,9 +9,11 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +26,7 @@
 #include "core/topology.hpp"
 #include "dnn/presets.hpp"
 #include "fleet/fleet.hpp"
+#include "io/io.hpp"
 #include "par/substream.hpp"
 #include "par/thread_pool.hpp"
 #include "perf/predictor.hpp"
@@ -895,6 +898,82 @@ TEST(FleetEngine, RegionalDrillWalksTheTierLadderDeterministically) {
   EXPECT_NEAR(static_cast<double>(serial.fog_shed) * cfg.device_qps /
                   static_cast<double>(cfg.steps),
               region_shed_qps, 1e-9);
+}
+
+// ---------------------------------------------------------------------------
+// fleet::FleetEngine -- recorded report digests
+// ---------------------------------------------------------------------------
+
+// Two-tier vgg16 plan: its splits transmit at fleet trace rates, so a small
+// cloud pool carries real load.
+const core::DeploymentPlan& vgg_plan() {
+  static const core::DeploymentPlan plan = [] {
+    static const perf::DeviceSimulator sim(perf::jetson_tx2_gpu());
+    static const perf::SimulatorOracle oracle(sim);
+    const comm::CommModel comm(comm::WirelessTechnology::kWifi, 20.0);
+    return core::DeploymentEvaluator(oracle, comm).compile(dnn::vgg16());
+  }();
+  return plan;
+}
+
+// io::fnv1a of FleetStats::csv() for fleets the golden CLI corpus cannot
+// reach: `lens fleet` has no per-device fault flags, generated regional
+// faults or breaker knobs. A change to the fleet step must keep every
+// digest; one that moves a report on purpose re-records the digest it
+// moves and says why.
+TEST(FleetEngine, ReportsMatchRecordedDigests) {
+  par::ThreadPool pool(3);
+  const auto digest = [](const fleet::FleetStats& stats) {
+    char buffer[17];
+    std::snprintf(buffer, sizeof buffer, "%016llx",
+                  static_cast<unsigned long long>(io::fnv1a(stats.csv())));
+    return std::string(buffer);
+  };
+  const auto two_tier = [&](const core::DeploymentPlan& plan, fleet::FleetConfig config) {
+    return digest(fleet::FleetEngine(plan, std::move(config)).run(pool));
+  };
+  const auto three_tier = [&](fleet::FleetConfig config) {
+    return digest(fleet::FleetEngine(ktier_vgg_plan(), {4.0, 40.0}, std::move(config))
+                      .run(pool));
+  };
+  const auto with_energy = [](fleet::FleetConfig config) {
+    config.metric = runtime::OptimizeFor::kEnergy;
+    return config;
+  };
+  const auto with_device_faults = [](fleet::FleetConfig config) {
+    config.faults = fleet_fault_config();
+    config.faults.horizon_s = 0.0;
+    return config;
+  };
+
+  fleet::FleetConfig machines = brownout_fleet_config();
+  machines.trace.mean_mbps = 20.0;
+  machines.trace.sigma = 0.4;
+  machines.cloud_faults.scripted.clear();
+  machines.cloud_faults.machine_failure_rate_hz = 1.0 / 400.0;
+  machines.cloud_faults.machine_failure_mean_s = 200.0;
+  machines.cloud_faults.machine_failure_fraction = 0.5;
+  machines.breaker_failures = 2;
+  fleet::FleetConfig region_faults = regional_drill_config();
+  region_faults.region_faults = region_fault_config();
+  region_faults.region_faults.horizon_s = 0.0;
+  fleet::FleetConfig healthy = regional_drill_config();
+  healthy.region_episodes.clear();
+
+  EXPECT_EQ(two_tier(alexnet_plan(), small_fleet_config()), "07af38f3f37805f8");
+  EXPECT_EQ(two_tier(alexnet_plan(), with_energy(small_fleet_config())),
+            "5f80b1869866e8c6");
+  EXPECT_EQ(two_tier(alexnet_plan(), brownout_fleet_config()), "0b4a7214480220d7");
+  EXPECT_EQ(two_tier(alexnet_plan(), with_device_faults(brownout_fleet_config())),
+            "e561e0a6c1944748");
+  EXPECT_EQ(two_tier(alexnet_plan(), with_energy(brownout_fleet_config())),
+            "9fcf70f6d7054b47");
+  EXPECT_EQ(two_tier(vgg_plan(), machines), "0ece82eb57cbebff");
+  EXPECT_EQ(three_tier(regional_drill_config()), "b5577bee1ec6f727");
+  EXPECT_EQ(three_tier(with_device_faults(regional_drill_config())), "8b2cac711195b24a");
+  EXPECT_EQ(three_tier(region_faults), "de0450605e22efa8");
+  EXPECT_EQ(three_tier(with_energy(regional_drill_config())), "7b90300161641cda");
+  EXPECT_EQ(three_tier(healthy), "5bed2a050230254f");
 }
 
 }  // namespace

@@ -9,7 +9,12 @@
 // stdout is hashed with that directory spelled back as `{tmp}`, so the pins
 // do not depend on where the test runs. Every file the run leaves in its
 // directory must be pinned, and every pinned file must be written.
+//
+// A must-fail line, `argv | exit=1 | error=<stderr substring>`, pins a
+// rejected input instead: the run must exit with that code, name the error
+// on stderr, and write no file.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -39,6 +44,8 @@ struct GoldenRun {
   std::vector<std::string> argv;  ///< subcommand first
   std::string stdout_hash;
   std::vector<std::pair<std::string, std::string>> files;  ///< {tmp}/name -> hash
+  int exit_code = 0;  ///< must-fail lines: the expected nonzero exit
+  std::string error;  ///< must-fail lines: a substring of stderr
 };
 
 std::string hex16(std::uint64_t value) {
@@ -80,22 +87,30 @@ std::vector<GoldenRun> load_corpus(const std::string& path) {
     std::istringstream words(fields[0]);
     run.argv.assign(std::istream_iterator<std::string>(words), {});
     for (std::size_t f = 1; f < fields.size(); ++f) {
-      const std::size_t eq = fields[f].rfind('=');
+      const std::size_t eq = fields[f].find('=');
       if (eq == std::string::npos) {
         throw std::runtime_error("golden corpus line " + std::to_string(line) +
-                                 ": expected name=<hex16>, got '" + fields[f] + "'");
+                                 ": expected name=<value>, got '" + fields[f] + "'");
       }
       std::string name = fields[f].substr(0, eq);
-      std::string hash = fields[f].substr(eq + 1);
+      std::string value = fields[f].substr(eq + 1);
       if (name == "stdout") {
-        run.stdout_hash = std::move(hash);
+        run.stdout_hash = std::move(value);
+      } else if (name == "exit") {
+        run.exit_code = std::stoi(value);
+      } else if (name == "error") {
+        run.error = std::move(value);
       } else {
-        run.files.emplace_back(std::move(name), std::move(hash));
+        run.files.emplace_back(std::move(name), std::move(value));
       }
     }
-    if (run.argv.empty() || run.stdout_hash.empty()) {
+    const bool pinned = !run.stdout_hash.empty() && run.exit_code == 0 && run.error.empty();
+    const bool must_fail = run.stdout_hash.empty() && run.files.empty() &&
+                           run.exit_code != 0 && !run.error.empty();
+    if (run.argv.empty() || !(pinned || must_fail)) {
       throw std::runtime_error("golden corpus line " + std::to_string(line) +
-                               ": needs an argv and a stdout hash");
+                               ": needs an argv and either a stdout hash or an "
+                               "exit code and an error");
     }
     runs.push_back(std::move(run));
   }
@@ -107,9 +122,22 @@ std::string read_file(const fs::path& path) {
   return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
+/// lens-cli's main(): a bad option that fails to parse also exits 1.
+int run_cli(const std::vector<const char*>& argv) {
+  try {
+    return cli::run_command(cli::Args::parse(static_cast<int>(argv.size()), argv.data()));
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "lens-cli: %s\n", error.what());
+    return 1;
+  }
+}
+
 TEST(Golden, CliRunsMatchTheirPins) {
   const std::vector<GoldenRun> runs = load_corpus(LENS_GOLDEN_CORPUS);
-  ASSERT_GE(runs.size(), 22u) << "the corpus lost runs";
+  const auto must_fail =
+      std::count_if(runs.begin(), runs.end(), [](const GoldenRun& r) { return r.exit_code != 0; });
+  ASSERT_GE(runs.size() - static_cast<std::size_t>(must_fail), 22u) << "the corpus lost runs";
+  ASSERT_GE(must_fail, 26) << "the corpus lost must-fail runs";
 
   std::string root_template = ::testing::TempDir() + "lens-golden-XXXXXX";
   ASSERT_NE(mkdtemp(root_template.data()), nullptr);
@@ -124,12 +152,24 @@ TEST(Golden, CliRunsMatchTheirPins) {
     }
     std::vector<const char*> argv;
     for (const std::string& token : tokens) argv.push_back(token.c_str());
-    const cli::Args args = cli::Args::parse(static_cast<int>(argv.size()), argv.data());
 
     ::testing::internal::CaptureStdout();
-    const int rc = cli::run_command(args);
+    ::testing::internal::CaptureStderr();
+    const int rc = run_cli(argv);
     const std::string out =
         replace_all(::testing::internal::GetCapturedStdout(), dir.string(), kTmp);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    std::size_t written = 0;
+    for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+      if (entry.is_regular_file()) ++written;
+    }
+    if (run.exit_code != 0) {
+      EXPECT_EQ(rc, run.exit_code) << "golden corpus line " << run.line;
+      EXPECT_NE(err.find(run.error), std::string::npos)
+          << "golden corpus line " << run.line << " stderr:\n" << err;
+      EXPECT_EQ(written, 0u) << "golden corpus line " << run.line << " wrote a file";
+      continue;
+    }
 
     // Compare the whole measured line with the pinned one, so a failure
     // prints exactly the text a re-recording would write.
@@ -140,10 +180,6 @@ TEST(Golden, CliRunsMatchTheirPins) {
       pinned += " | " + name + "=" + hash;
       measured += " | " + name + "=" +
                   (fs::exists(file) ? hex16(io::fnv1a(read_file(file))) : "missing");
-    }
-    std::size_t written = 0;
-    for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
-      if (entry.is_regular_file()) ++written;
     }
     EXPECT_EQ(rc, 0) << "golden corpus line " << run.line;
     EXPECT_EQ(written, run.files.size())

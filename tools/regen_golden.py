@@ -3,9 +3,10 @@
 
 Runs every corpus line through a built lens-cli, each in a fresh scratch
 directory that replaces `{tmp}`, and rewrites the line's stdout and file
-hashes (64-bit FNV-1a, as io::fnv1a) in place. Comments and argv are kept.
-test_golden checks the same pins in-process; re-record only when an output
-is meant to move, and explain every changed line.
+hashes (64-bit FNV-1a, as io::fnv1a) in place. Comments, argv and the
+must-fail lines (`argv | exit=1 | error=...`, which pin no hash) are kept
+verbatim. test_golden checks the same pins in-process; re-record only when
+an output is meant to move, and explain every changed line.
 
     python3 tools/regen_golden.py build/tools/lens-cli [tests/golden/cli.txt]
 """
@@ -29,6 +30,8 @@ def fnv1a(data: bytes) -> str:
 
 def record(cli: str, line: str) -> str:
     fields = [f.strip() for f in line.split("|")]
+    if any(f.startswith("exit=") for f in fields[1:]):
+        return line
     argv = fields[0]
     files = [f.rsplit("=", 1)[0] for f in fields[1:] if not f.startswith("stdout=")]
     with tempfile.TemporaryDirectory(prefix="lens-golden-") as scratch:
