@@ -249,8 +249,8 @@ int cmd_search(const Args& args) {
   const core::SurrogateAccuracyModel accuracy;
 
   core::NasConfig config;
-  config.mobo.num_iterations = static_cast<std::size_t>(args.get_int("iterations", 60));
-  config.mobo.num_initial = static_cast<std::size_t>(args.get_int("initial", 12));
+  config.mobo.num_iterations = get_count(args, "iterations", 60, 0.0);
+  config.mobo.num_initial = get_count(args, "initial", 12);
   config.mobo.seed = static_cast<unsigned>(args.get_int("seed", 1));
   config.nsga2.seed = config.mobo.seed;
   config.tu_mbps = rig.hop_tu[0];
@@ -284,9 +284,8 @@ int cmd_search(const Args& args) {
   }
   if (args.has("checkpoint")) {
     config.checkpoint.directory = args.get("checkpoint");
-    config.checkpoint.period =
-        static_cast<std::size_t>(args.get_int("checkpoint-period", 10));
-    config.checkpoint.keep = static_cast<std::size_t>(args.get_int("checkpoint-keep", 3));
+    config.checkpoint.period = get_count(args, "checkpoint-period", 10);
+    config.checkpoint.keep = get_count(args, "checkpoint-keep", 3);
     // SIGINT/SIGTERM flush the in-flight checkpoint chunk instead of
     // killing the process mid-write.
     core::install_interrupt_flush_handler();

@@ -2,11 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 namespace lens::core {
 
 SurrogateAccuracyModel::SurrogateAccuracyModel(SurrogateAccuracyConfig config)
-    : config_(config) {}
+    : config_(config) {
+  if (!(config_.noise_std >= 0.0) || !std::isfinite(config_.noise_std)) {
+    throw std::invalid_argument("SurrogateAccuracyModel: noise_std must be finite and >= 0");
+  }
+}
 
 double SurrogateAccuracyModel::test_error_percent(const Genotype& genotype,
                                                   const dnn::Architecture& arch) const {
@@ -35,14 +40,18 @@ double SurrogateAccuracyModel::test_error_percent(const Genotype& genotype,
     error += config_.overcapacity_slope * (log_params - config_.overcapacity_knee);
   }
 
-  // Deterministic, genotype-seeded "training noise".
-  std::uint64_t h = 0xcbf29ce484222325ULL ^ config_.seed;
-  for (int v : genotype) {
-    h ^= static_cast<std::uint64_t>(v) + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+  // Deterministic, genotype-seeded "training noise". Zero noise adds
+  // nothing: a zero-stddev draw would add +0.0, and std::normal_distribution
+  // requires a positive stddev.
+  if (config_.noise_std > 0.0) {
+    std::uint64_t h = 0xcbf29ce484222325ULL ^ config_.seed;
+    for (int v : genotype) {
+      h ^= static_cast<std::uint64_t>(v) + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+    }
+    std::mt19937_64 rng(h);
+    std::normal_distribution<double> gauss(0.0, config_.noise_std);
+    error += gauss(rng);
   }
-  std::mt19937_64 rng(h);
-  std::normal_distribution<double> gauss(0.0, config_.noise_std);
-  error += gauss(rng);
 
   return std::clamp(error, config_.min_error, config_.max_error);
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <numbers>
 #include <stdexcept>
@@ -9,6 +10,41 @@
 #include "par/parallel.hpp"
 
 namespace lens::opt {
+
+namespace {
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+struct GridPoint {
+  double signal, length, noise;
+};
+
+// The hyper-parameter grid searched by log marginal likelihood. It is small
+// by design: genotypes live in [0,1]^d so length scales beyond a few units
+// make the GP a constant, and normalized targets pin the signal variance
+// near 1. An untuned fit's grid is its configured point.
+std::vector<GridPoint> hyperparameter_grid(const GpConfig& config) {
+  if (!config.tune_hyperparameters) {
+    return {{config.signal_variance, config.length_scale, config.noise_variance}};
+  }
+  static constexpr double kLengthScales[] = {0.1, 0.2, 0.4, 0.8, 1.6, 3.2};
+  static constexpr double kSignalVariances[] = {0.5, 1.0, 2.0};
+  static constexpr double kNoiseVariances[] = {1e-4, 1e-3, 1e-2, 1e-1};
+  std::vector<GridPoint> grid;
+  for (double l : kLengthScales) {
+    for (double s : kSignalVariances) {
+      for (double n : kNoiseVariances) grid.push_back({s, l, n});
+    }
+  }
+  return grid;
+}
+
+// Log marginal likelihood of standardized targets y, given alpha = A^{-1} y
+// and log det A.
+double lml_of(const std::vector<double>& y, const std::vector<double>& alpha, double log_det) {
+  const double n = static_cast<double>(y.size());
+  return -0.5 * dot(y, alpha) - 0.5 * log_det - 0.5 * n * std::log(2.0 * std::numbers::pi);
+}
+}  // namespace
 
 GaussianProcess::GaussianProcess(GpConfig config)
     : config_(config),
@@ -29,61 +65,109 @@ std::unique_ptr<Kernel> GaussianProcess::make_kernel(double signal_variance,
 }
 
 void GaussianProcess::fit(std::vector<std::vector<double>> x, std::vector<double> y) {
-  if (x.empty() || x.size() != y.size()) {
+  std::vector<std::vector<double>> ys;
+  ys.push_back(std::move(y));
+  *this = std::move(fit_objectives(config_, std::move(x), std::move(ys)).front());
+}
+
+std::vector<GaussianProcess> fit_objectives(const GpConfig& config,
+                                            std::vector<std::vector<double>> x,
+                                            std::vector<std::vector<double>> ys) {
+  const auto mismatched = [&](const std::vector<double>& y) { return y.size() != x.size(); };
+  if (x.empty() || ys.empty() || std::any_of(ys.begin(), ys.end(), mismatched)) {
     throw std::invalid_argument("GaussianProcess::fit: empty or mismatched data");
   }
   const std::size_t dim = x.front().size();
   for (const auto& row : x) {
     if (row.size() != dim) throw std::invalid_argument("GaussianProcess::fit: ragged X");
   }
-  x_ = std::move(x);
-  y_ = std::move(y);
-  standardize_targets();
+  const std::size_t num = ys.size();
+  std::vector<GaussianProcess> gps;
+  gps.reserve(num);
+  for (std::vector<double>& y : ys) {
+    gps.emplace_back(config);
+    gps.back().y_ = std::move(y);
+    gps.back().standardize_targets();
+  }
 
-  if (!config_.tune_hyperparameters) {
-    if (!std::isfinite(try_fit(config_.signal_variance, config_.length_scale,
-                               config_.noise_variance))) {
+  // Every Gram matrix below depends on X only through its pair statistics.
+  const GaussianProcess& proto = gps.front();
+  const Matrix statistics = pair_statistics(proto.kernel_->statistic(), x, x);
+  const std::vector<GridPoint> grid = hyperparameter_grid(config);
+  const auto gram_at = [&](const GridPoint& p) {
+    Matrix k = proto.make_kernel(p.signal, p.length)->gram(statistics, dim);
+    k.add_diagonal(p.noise + 1e-9);
+    return k;
+  };
+
+  // One factorization per grid point scores every objective: the
+  // log-determinant is shared and each objective pays one solve. A failed
+  // factor or a non-finite LML scores -inf. Grid points run in parallel and
+  // each objective keeps its first maximum in grid order, so the winners
+  // are the same for any thread count.
+  std::vector<std::size_t> winner(num, 0);
+  if (config.tune_hyperparameters) {
+    const std::vector<std::vector<double>> lmls =
+        par::parallel_map(grid.size(), [&](std::size_t g) {
+          std::vector<double> lml(num, -kInf);
+          CholeskyFactor factor;
+          try {
+            factor = CholeskyFactor::factorize(gram_at(grid[g]));
+          } catch (const std::domain_error&) {
+            return lml;
+          }
+          const double log_det = factor.log_det();
+          for (std::size_t k = 0; k < num; ++k) {
+            const std::vector<double>& y = gps[k].y_normalized_;
+            const double value = lml_of(y, factor.solve(y), log_det);
+            if (std::isfinite(value)) lml[k] = value;
+          }
+          return lml;
+        });
+    for (std::size_t k = 0; k < num; ++k) {
+      double best = -kInf;
+      for (std::size_t g = 0; g < grid.size(); ++g) {
+        if (lmls[g][k] > best) {
+          best = lmls[g][k];
+          winner[k] = g;
+        }
+      }
+      if (!std::isfinite(best)) {
+        throw std::domain_error("GaussianProcess::fit: no usable hyper-parameters");
+      }
+    }
+  }
+
+  // Factorize each distinct winner once more (no grid factor outlives its
+  // grid point), then commit every objective against its winner's factor.
+  std::vector<std::size_t> distinct;
+  for (std::size_t g : winner) {
+    if (std::find(distinct.begin(), distinct.end(), g) == distinct.end()) distinct.push_back(g);
+  }
+  std::vector<CholeskyFactor> factors;
+  try {
+    factors = par::parallel_map(distinct.size(), [&](std::size_t w) {
+      return CholeskyFactor::factorize(gram_at(grid[distinct[w]]));
+    });
+  } catch (const std::domain_error&) {
+    throw std::domain_error("GaussianProcess::fit: Gram matrix not positive definite");
+  }
+  par::parallel_for(num, [&](std::size_t k) {
+    GaussianProcess& gp = gps[k];
+    const auto w = std::find(distinct.begin(), distinct.end(), winner[k]) - distinct.begin();
+    const GridPoint& p = grid[winner[k]];
+    gp.kernel_ = gp.make_kernel(p.signal, p.length);
+    gp.noise_variance_ = p.noise;
+    gp.factor_ = factors[static_cast<std::size_t>(w)];
+    gp.alpha_ = gp.factor_.solve(gp.y_normalized_);
+    gp.log_marginal_likelihood_ = lml_of(gp.y_normalized_, gp.alpha_, gp.factor_.log_det());
+    if (!std::isfinite(gp.log_marginal_likelihood_)) {
       throw std::domain_error("GaussianProcess::fit: Gram matrix not positive definite");
     }
-    return;
-  }
-
-  // Grid search over hyper-parameters by log marginal likelihood. The grid
-  // is small by design: genotypes live in [0,1]^d so length scales beyond a
-  // few units make the GP a constant, and normalized targets pin the signal
-  // variance near 1. Each grid point needs its own Gram factorization —
-  // independent work, scored in parallel with an argmax over the fixed grid
-  // order, so the winner is the same for any thread count.
-  static constexpr double kLengthScales[] = {0.1, 0.2, 0.4, 0.8, 1.6, 3.2};
-  static constexpr double kSignalVariances[] = {0.5, 1.0, 2.0};
-  static constexpr double kNoiseVariances[] = {1e-4, 1e-3, 1e-2, 1e-1};
-
-  struct GridPoint {
-    double signal, length, noise;
-  };
-  std::vector<GridPoint> grid;
-  for (double l : kLengthScales) {
-    for (double s : kSignalVariances) {
-      for (double n : kNoiseVariances) grid.push_back({s, l, n});
-    }
-  }
-  const std::vector<double> lmls = par::parallel_map(grid.size(), [&](std::size_t i) {
-    const auto kernel = make_kernel(grid[i].signal, grid[i].length);
-    return factorize_and_score(*kernel, grid[i].noise, nullptr, nullptr);
   });
-  double best = -std::numeric_limits<double>::infinity();
-  std::size_t best_index = 0;
-  for (std::size_t i = 0; i < lmls.size(); ++i) {
-    if (lmls[i] > best) {
-      best = lmls[i];
-      best_index = i;
-    }
-  }
-  if (!std::isfinite(best)) {
-    throw std::domain_error("GaussianProcess::fit: no usable hyper-parameters");
-  }
-  // Fit with the winner so the cached factorization matches.
-  try_fit(grid[best_index].signal, grid[best_index].length, grid[best_index].noise);
+  for (std::size_t k = 0; k + 1 < num; ++k) gps[k].x_ = x;
+  gps.back().x_ = std::move(x);
+  return gps;
 }
 
 void GaussianProcess::standardize_targets() {
@@ -97,43 +181,6 @@ void GaussianProcess::standardize_targets() {
   y_std_ = var > 1e-12 ? std::sqrt(var) : 1.0;
   y_normalized_.resize(y_.size());
   for (std::size_t i = 0; i < y_.size(); ++i) y_normalized_[i] = (y_[i] - y_mean_) / y_std_;
-}
-
-double GaussianProcess::factorize_and_score(const Kernel& kernel, double noise_variance,
-                                            CholeskyFactor* factor_out,
-                                            std::vector<double>* alpha_out) const {
-  Matrix k = kernel.gram(x_);
-  k.add_diagonal(noise_variance + 1e-9);
-  CholeskyFactor factor;
-  try {
-    factor = CholeskyFactor::factorize(k);
-  } catch (const std::domain_error&) {
-    return -std::numeric_limits<double>::infinity();
-  }
-  std::vector<double> alpha = factor.solve(y_normalized_);
-  const double n = static_cast<double>(x_.size());
-  const double lml = -0.5 * dot(y_normalized_, alpha) - 0.5 * factor.log_det() -
-                     0.5 * n * std::log(2.0 * std::numbers::pi);
-  if (!std::isfinite(lml)) return -std::numeric_limits<double>::infinity();
-  if (factor_out) *factor_out = std::move(factor);
-  if (alpha_out) *alpha_out = std::move(alpha);
-  return lml;
-}
-
-double GaussianProcess::try_fit(double signal_variance, double length_scale,
-                                double noise_variance) {
-  auto kernel = make_kernel(signal_variance, length_scale);
-  CholeskyFactor factor;
-  std::vector<double> alpha;
-  const double lml = factorize_and_score(*kernel, noise_variance, &factor, &alpha);
-  if (!std::isfinite(lml)) return lml;
-
-  kernel_ = std::move(kernel);
-  noise_variance_ = noise_variance;
-  factor_ = std::move(factor);
-  alpha_ = std::move(alpha);
-  log_marginal_likelihood_ = lml;
-  return lml;
 }
 
 GaussianProcess GaussianProcess::from_snapshot(GpConfig base, const GpHyperparameters& hp,
@@ -164,9 +211,7 @@ void GaussianProcess::observe(std::vector<double> x, double y) {
   y_.push_back(y);
   standardize_targets();
   alpha_ = factor_.solve(y_normalized_);
-  const double n = static_cast<double>(x_.size());
-  log_marginal_likelihood_ = -0.5 * dot(y_normalized_, alpha_) - 0.5 * factor_.log_det() -
-                             0.5 * n * std::log(2.0 * std::numbers::pi);
+  log_marginal_likelihood_ = lml_of(y_normalized_, alpha_, factor_.log_det());
 }
 
 GaussianProcess::Prediction GaussianProcess::predict(const std::vector<double>& x) const {
@@ -183,62 +228,166 @@ GaussianProcess::Prediction GaussianProcess::predict(const std::vector<double>& 
 
 std::vector<double> GaussianProcess::sample_at(
     const std::vector<std::vector<double>>& xs, std::mt19937_64& rng) const {
-  const std::size_t m = xs.size();
   std::normal_distribution<double> gauss(0.0, 1.0);
-  std::vector<double> z(m);
+  std::vector<double> z(xs.size());
   for (double& v : z) v = gauss(rng);
   return sample_with_noise(xs, z);
 }
 
-std::vector<double> GaussianProcess::prior_sample(const std::vector<std::vector<double>>& xs,
-                                                  const std::vector<double>& z) const {
-  // Prior draw: mean 0, covariance = kernel Gram over xs.
-  const std::size_t m = xs.size();
-  Matrix k = kernel_->gram(xs);
-  k.add_diagonal(1e-8);
-  const CholeskyFactor l = CholeskyFactor::factorize(k);
-  std::vector<double> out(m, 0.0);
-  for (std::size_t i = 0; i < m; ++i) {
-    double acc = 0.0;
-    for (std::size_t j = 0; j <= i; ++j) acc += l.at(i, j) * z[j];
-    out[i] = acc;
+std::vector<double> GaussianProcess::sample_with_noise(
+    const std::vector<std::vector<double>>& xs, const std::vector<double>& z) const {
+  if (xs.size() != z.size()) {
+    throw std::invalid_argument("GaussianProcess::sample_with_noise: z size mismatch");
   }
+  return draw({this}, xs, {z}).front();
+}
+
+std::vector<std::vector<double>> sample_objectives_at(
+    const std::vector<GaussianProcess>& gps, const std::vector<std::vector<double>>& xs,
+    std::mt19937_64& rng) {
+  // Draw every objective's z vector serially in objective order — the exact
+  // generator consumption order of the per-objective sample_at loop. The
+  // distribution object is per-objective on purpose: sample_at constructs a
+  // fresh one, and std::normal_distribution caches a second polar-method
+  // variate, so a single shared instance would consume the generator
+  // differently whenever xs.size() is odd.
+  std::vector<std::vector<double>> z(gps.size(), std::vector<double>(xs.size()));
+  for (std::vector<double>& zk : z) {
+    std::normal_distribution<double> gauss(0.0, 1.0);
+    for (double& v : zk) v = gauss(rng);
+  }
+  std::vector<const GaussianProcess*> models;
+  for (const GaussianProcess& gp : gps) models.push_back(&gp);
+  return GaussianProcess::draw(models, xs, z);
+}
+
+std::vector<std::vector<double>> GaussianProcess::draw(
+    const std::vector<const GaussianProcess*>& models,
+    const std::vector<std::vector<double>>& xs, const std::vector<std::vector<double>>& z) {
+  const std::size_t num = models.size();
+  const std::size_t m = xs.size();
+  const std::size_t dim = m == 0 ? 0 : xs.front().size();
+  const std::size_t blocks = (m + 3) / 4;
+
+  // Models with the same statistic and training inputs share the query
+  // block's pair statistics: cross(t, i) against training point t, and
+  // pool(i, j) within the block.
+  struct Group {
+    PairStatistic statistic;
+    const std::vector<std::vector<double>>* x;
+    Matrix cross;
+    Matrix pool;
+  };
+  std::vector<Group> groups;
+  std::vector<std::size_t> group_of(num);
+  for (std::size_t k = 0; k < num; ++k) {
+    const GaussianProcess& gp = *models[k];
+    const PairStatistic statistic = gp.kernel_->statistic();
+    std::size_t g = 0;
+    while (g < groups.size() && !(groups[g].statistic == statistic && *groups[g].x == gp.x_)) ++g;
+    if (g == groups.size()) groups.push_back({statistic, &gp.x_, {}, {}});
+    group_of[k] = g;
+  }
+  for (Group& group : groups) {
+    group.cross = pair_statistics(group.statistic, xs, *group.x);
+    group.pool = pair_statistics(group.statistic, xs, xs);
+  }
+
+  // Cross-solves, one (objective, 4-point block) per index: the block's
+  // cross-covariances fill an n x 4 panel (zero-padded past m), the
+  // posterior mean takes one ascending dot product per point, and the
+  // panel is solved in place into V = L^{-1} K(train, block). The panels
+  // and each objective's covariance matrix (allocated by its first block)
+  // are allocated here, so their zero fill runs in the parallel section.
+  std::vector<std::vector<double>> panels(num * blocks);
+  std::vector<std::vector<double>> mean(num, std::vector<double>(m));
+  std::vector<Matrix> cov(num);
+  par::parallel_for(num * blocks, [&](std::size_t idx) {
+    const std::size_t k = idx / blocks;
+    const GaussianProcess& gp = *models[k];
+    if (!gp.is_fitted()) return;  // prior draws need no cross-covariances
+    const std::size_t n = gp.size();
+    const std::size_t i0 = 4 * (idx % blocks);
+    const std::size_t width = std::min<std::size_t>(4, m - i0);
+    if (i0 == 0) cov[k] = Matrix(m, m);
+    const Matrix& cross = groups[group_of[k]].cross;
+    std::vector<double>& v = panels[idx];
+    v.assign(4 * n, 0.0);
+    for (std::size_t t = 0; t < n; ++t) {
+      gp.kernel_->values(cross.row_data(t) + i0, width, dim, &v[4 * t]);
+    }
+    double acc[4] = {0.0, 0.0, 0.0, 0.0};
+    for (std::size_t t = 0; t < n; ++t) {
+      for (std::size_t q = 0; q < width; ++q) acc[q] += v[4 * t + q] * gp.alpha_[t];
+    }
+    for (std::size_t q = 0; q < width; ++q) mean[k][i0 + q] = acc[q];
+    gp.factor_.solve_lower_many(v.data(), 4, width);
+  });
+
+  // Posterior covariance k(i, j) - v_i . v_j in 4x4 register tiles, one
+  // (objective, row block) per index covering the tiles right of the
+  // diagonal. Every entry still sums v_i[t] * v_j[t] in ascending t from
+  // 0.0, so it equals the scalar dot product bit for bit; each tile writes
+  // its entries and their mirror images, which no other index touches.
+  par::parallel_for(num * blocks, [&](std::size_t idx) {
+    const std::size_t k = idx / blocks;
+    const GaussianProcess& gp = *models[k];
+    if (!gp.is_fitted()) return;
+    const std::size_t n = gp.size();
+    const std::size_t bi = idx % blocks;
+    const Matrix& pool = groups[group_of[k]].pool;
+    const double* vi = panels[idx].data();
+    for (std::size_t bj = bi; bj < blocks; ++bj) {
+      const double* vj = panels[k * blocks + bj].data();
+      DoublePair acc[4][2] = {};
+      for (std::size_t t = 0; t < n; ++t) {
+        DoublePair row[2];
+        std::memcpy(row, vj + 4 * t, sizeof row);
+        for (std::size_t p = 0; p < 4; ++p) {
+          acc[p][0] += vi[4 * t + p] * row[0];
+          acc[p][1] += vi[4 * t + p] * row[1];
+        }
+      }
+      const std::size_t i0 = 4 * bi;
+      const std::size_t j0 = 4 * bj;
+      const std::size_t width = std::min<std::size_t>(4, m - j0);
+      for (std::size_t p = 0; p < 4 && i0 + p < m; ++p) {
+        double k_ij[4] = {};
+        gp.kernel_->values(pool.row_data(i0 + p) + j0, width, dim, k_ij);
+        for (std::size_t q = 0; q < width; ++q) {
+          const double c = k_ij[q] - acc[p][q / 2][q % 2];
+          cov[k](i0 + p, j0 + q) = c;
+          cov[k](j0 + q, i0 + p) = c;
+        }
+      }
+    }
+  });
+
+  // The O(m^3) factorizations, one objective per index. An unfitted model
+  // draws from its prior: mean 0, covariance the kernel Gram over xs.
+  std::vector<std::vector<double>> out(num);
+  par::parallel_for(num, [&](std::size_t k) {
+    const GaussianProcess& gp = *models[k];
+    if (!gp.is_fitted()) cov[k] = gp.kernel_->gram(groups[group_of[k]].pool, dim);
+    out[k] = gp.finish_draw(cov[k], mean[k], z[k]);
+  });
   return out;
 }
 
-void GaussianProcess::sample_cross_solve(const std::vector<std::vector<double>>& xs,
-                                         std::size_t i, std::vector<double>& mean,
-                                         std::vector<std::vector<double>>& vs) const {
-  const std::vector<double> k_star = kernel_->cross(x_, xs[i]);
-  mean[i] = dot(k_star, alpha_);
-  vs[i] = factor_.solve_lower(k_star);
-}
-
-void GaussianProcess::sample_cov_row(const std::vector<std::vector<double>>& xs,
-                                     const std::vector<std::vector<double>>& vs,
-                                     std::size_t i, Matrix& cov) const {
-  const std::size_t m = xs.size();
-  for (std::size_t j = i; j < m; ++j) {
-    const double kij = (*kernel_)(xs[i], xs[j]);
-    const double v = kij - dot(vs[i], vs[j]);
-    cov(i, j) = v;
-    cov(j, i) = v;
-  }
-}
-
-std::vector<double> GaussianProcess::sample_finish(const Matrix& cov,
-                                                   const std::vector<double>& mean,
-                                                   const std::vector<double>& z) const {
+std::vector<double> GaussianProcess::finish_draw(Matrix& cov, const std::vector<double>& mean,
+                                                 const std::vector<double>& z) const {
   const std::size_t m = mean.size();
   // Jitter escalation: posterior covariances of near-duplicate query points
-  // are frequently semi-definite.
+  // are frequently semi-definite. Each attempt factorizes cov + jitter I,
+  // with the jittered diagonal written in place.
+  std::vector<double> diagonal(m);
+  for (std::size_t i = 0; i < m; ++i) diagonal[i] = cov(i, i);
   CholeskyFactor l;
   double jitter = 1e-8;
   for (;;) {
-    Matrix attempt = cov;
-    attempt.add_diagonal(jitter);
+    for (std::size_t i = 0; i < m; ++i) cov(i, i) = diagonal[i] + jitter;
     try {
-      l = CholeskyFactor::factorize(attempt);
+      l = CholeskyFactor::factorize(cov);
       break;
     } catch (const std::domain_error&) {
       jitter *= 10.0;
@@ -253,77 +402,6 @@ std::vector<double> GaussianProcess::sample_finish(const Matrix& cov,
     for (std::size_t j = 0; j <= i; ++j) acc += l.at(i, j) * z[j];
     out[i] = y_mean_ + y_std_ * acc;
   }
-  return out;
-}
-
-std::vector<double> GaussianProcess::sample_with_noise(
-    const std::vector<std::vector<double>>& xs, const std::vector<double>& z) const {
-  if (xs.size() != z.size()) {
-    throw std::invalid_argument("GaussianProcess::sample_with_noise: z size mismatch");
-  }
-  if (!is_fitted()) return prior_sample(xs, z);
-
-  const std::size_t m = xs.size();
-  // Posterior mean and covariance over the query block. Each query point's
-  // cross-covariance solve and each covariance row touch only their own
-  // slots, so both loops parallelize without changing a single bit (the
-  // caller consumed the generator serially before handing us z).
-  std::vector<std::vector<double>> vs(m);  // V = L^{-1} K_{train,query} columns
-  std::vector<double> mean(m);
-  par::parallel_for(m, [&](std::size_t i) { sample_cross_solve(xs, i, mean, vs); });
-  Matrix cov(m, m);
-  par::parallel_for(m, [&](std::size_t i) { sample_cov_row(xs, vs, i, cov); });
-  return sample_finish(cov, mean, z);
-}
-
-std::vector<std::vector<double>> sample_objectives_at(
-    const std::vector<GaussianProcess>& gps, const std::vector<std::vector<double>>& xs,
-    std::mt19937_64& rng) {
-  const std::size_t num = gps.size();
-  const std::size_t m = xs.size();
-
-  // Draw every objective's z vector serially in objective order — the exact
-  // generator consumption order of the per-objective sample_at loop this
-  // function batches, so the two paths stay bit-identical. The distribution
-  // object is per-objective on purpose: sample_at constructs a fresh one,
-  // and std::normal_distribution caches a second polar-method variate, so a
-  // single shared instance would consume the generator differently whenever
-  // m is odd.
-  std::vector<std::vector<double>> z(num, std::vector<double>(m));
-  for (std::size_t k = 0; k < num; ++k) {
-    std::normal_distribution<double> gauss(0.0, 1.0);
-    for (double& v : z[k]) v = gauss(rng);
-  }
-
-  // Stage A + B flattened across objectives: num * m cross-covariance
-  // solves, then num * m covariance rows, each writing only its own slots.
-  // An m-wide section per objective becomes one num*m-wide section, which
-  // is what lets the chunked pool amortize imbalanced rows.
-  std::vector<std::vector<std::vector<double>>> vs(num,
-                                                   std::vector<std::vector<double>>(m));
-  std::vector<std::vector<double>> mean(num, std::vector<double>(m));
-  par::parallel_for(num * m, [&](std::size_t idx) {
-    const std::size_t k = idx / m;
-    if (!gps[k].is_fitted()) return;  // prior draws skip straight to stage C
-    gps[k].sample_cross_solve(xs, idx % m, mean[k], vs[k]);
-  });
-  std::vector<Matrix> cov(num);
-  for (std::size_t k = 0; k < num; ++k) {
-    if (gps[k].is_fitted()) cov[k] = Matrix(m, m);
-  }
-  par::parallel_for(num * m, [&](std::size_t idx) {
-    const std::size_t k = idx / m;
-    if (!gps[k].is_fitted()) return;
-    gps[k].sample_cov_row(xs, vs[k], idx % m, cov[k]);
-  });
-
-  // Stage C: the O(m^3) covariance factorizations — serial inside a single
-  // sample_at — run concurrently, one per objective.
-  std::vector<std::vector<double>> out(num);
-  par::parallel_for(num, [&](std::size_t k) {
-    out[k] = gps[k].is_fitted() ? gps[k].sample_finish(cov[k], mean[k], z[k])
-                                : gps[k].prior_sample(xs, z[k]);
-  });
   return out;
 }
 

@@ -49,7 +49,10 @@ class GaussianProcess {
   explicit GaussianProcess(GpConfig config = {});
 
   /// Fit to a dataset. X is a list of equal-length feature vectors, y the
-  /// targets. Replaces any previous fit. Throws on empty or ragged input.
+  /// targets. Replaces any previous fit; the model is unchanged when it
+  /// throws (std::invalid_argument on empty, mismatched or ragged input,
+  /// std::domain_error when no hyper-parameters give a usable Gram matrix).
+  /// The one-objective case of fit_objectives().
   void fit(std::vector<std::vector<double>> x, std::vector<double> y);
 
   /// Append one observation to a fitted model in O(n^2): the cached
@@ -81,20 +84,22 @@ class GaussianProcess {
   Prediction predict(const std::vector<double>& x) const;
 
   /// One joint draw from the posterior over the given query points
-  /// (original units). This is the Thompson sample used by the acquisition.
+  /// (original units). This is the Thompson sample used by the acquisition:
+  /// the one-objective case of sample_objectives_at().
   std::vector<double> sample_at(const std::vector<std::vector<double>>& xs,
                                 std::mt19937_64& rng) const;
 
   /// sample_at with the standard-normal vector pre-drawn by the caller
   /// (`z.size() == xs.size()`). sample_at(xs, rng) is exactly: draw z from
-  /// rng, then sample_with_noise(xs, z) — splitting the draw from the
-  /// deterministic tail lets batched callers consume a shared generator in
-  /// a fixed serial order while the heavy linear algebra runs in parallel.
+  /// rng, then sample_with_noise(xs, z).
   std::vector<double> sample_with_noise(const std::vector<std::vector<double>>& xs,
                                         const std::vector<double>& z) const;
 
   /// Log marginal likelihood of the current fit (normalized-unit targets).
   double log_marginal_likelihood() const { return log_marginal_likelihood_; }
+
+  /// Posterior weights (K + noise I)^{-1} y of the fit (normalized targets).
+  const std::vector<double>& alpha() const { return alpha_; }
 
   double signal_variance() const { return kernel_->signal_variance(); }
   double length_scale() const { return kernel_->length_scale(); }
@@ -117,41 +122,23 @@ class GaussianProcess {
 
  private:
   std::unique_ptr<Kernel> make_kernel(double signal_variance, double length_scale) const;
-  /// Shared factorize-and-score core: builds the Gram matrix of x_ under
-  /// `kernel` + `noise_variance`, factorizes it, and returns the log
-  /// marginal likelihood of y_normalized_ (or -inf when the Gram matrix is
-  /// numerically unusable). On success the factor/alpha are handed back
-  /// through the optional out-parameters. Side-effect free, so it doubles
-  /// as the grid-search scoring kernel (safe from parallel workers).
-  double factorize_and_score(const Kernel& kernel, double noise_variance,
-                             CholeskyFactor* factor_out, std::vector<double>* alpha_out) const;
-  /// Fit internals for a specific hyper-parameter triple; commits the
-  /// factorization on success, returns LML or -inf.
-  double try_fit(double signal_variance, double length_scale, double noise_variance);
   /// Recompute y_mean_/y_std_/y_normalized_ from the raw targets, in the
-  /// exact summation order fit() uses (bit-identity with the full path).
+  /// exact summation order every fit uses (bit-identity with observe()).
   void standardize_targets();
+  /// Joint posterior draws of several models over one query block from
+  /// pre-drawn standard-normal vectors (z[k] for models[k]): the single
+  /// draw path behind sample_with_noise and sample_objectives_at.
+  static std::vector<std::vector<double>> draw(
+      const std::vector<const GaussianProcess*>& models,
+      const std::vector<std::vector<double>>& xs, const std::vector<std::vector<double>>& z);
+  /// Jitter-escalated factorization of the covariance (its diagonal is
+  /// overwritten) plus the mean + L z combine — the O(m^3) tail of one draw.
+  std::vector<double> finish_draw(Matrix& cov, const std::vector<double>& mean,
+                                  const std::vector<double>& z) const;
 
-  // Stage kernels of the posterior draw, shared by sample_with_noise and
-  // the batched sample_objectives_at. Each computes exactly what the
-  // corresponding slice of the monolithic sample_at used to compute, so the
-  // batched path is bit-identical to the per-objective loop it replaces.
-  /// Cross-covariance + mean + whitened solve for query point i.
-  void sample_cross_solve(const std::vector<std::vector<double>>& xs, std::size_t i,
-                          std::vector<double>& mean,
-                          std::vector<std::vector<double>>& vs) const;
-  /// Posterior covariance row i (writes cov(i, j) and cov(j, i), j >= i).
-  void sample_cov_row(const std::vector<std::vector<double>>& xs,
-                      const std::vector<std::vector<double>>& vs, std::size_t i,
-                      Matrix& cov) const;
-  /// Jitter-escalated factorization of `cov` plus the mean + L z combine —
-  /// the serial O(m^3) tail of one posterior draw.
-  std::vector<double> sample_finish(const Matrix& cov, const std::vector<double>& mean,
-                                    const std::vector<double>& z) const;
-  /// Prior draw (unfitted model) from a pre-drawn z.
-  std::vector<double> prior_sample(const std::vector<std::vector<double>>& xs,
-                                   const std::vector<double>& z) const;
-
+  friend std::vector<GaussianProcess> fit_objectives(const GpConfig& config,
+                                                     std::vector<std::vector<double>> x,
+                                                     std::vector<std::vector<double>> ys);
   friend std::vector<std::vector<double>> sample_objectives_at(
       const std::vector<GaussianProcess>& gps, const std::vector<std::vector<double>>& xs,
       std::mt19937_64& rng);
@@ -171,15 +158,27 @@ class GaussianProcess {
   double log_marginal_likelihood_ = 0.0;
 };
 
+/// Fit one GP per target vector (ys[k] over the shared inputs x) with one
+/// grid search: the statistic matrix of x is computed once, and each grid
+/// point's Gram matrix is built from it and factorized once for every
+/// objective (shared log-determinant, one solve per objective). Each
+/// objective keeps its first maximum in grid order, then only the distinct
+/// winners are factorized again. Every model is bit-identical to a separate
+/// fit() of its own targets, at any thread count. An untuned config scores
+/// nothing: its grid is the configured point.
+std::vector<GaussianProcess> fit_objectives(const GpConfig& config,
+                                            std::vector<std::vector<double>> x,
+                                            std::vector<std::vector<double>> ys);
+
 /// Batched joint Thompson draws: one posterior sample per objective GP over
 /// the shared query block, bit-identical to the serial loop
 ///     for (k) out[k] = gps[k].sample_at(xs, rng);
 /// including the order in which `rng` is consumed (all z vectors are drawn
-/// serially in objective order up front). The win is structural: the
-/// per-query cross-covariance solves and covariance rows of ALL objectives
-/// flatten into single gps.size() * xs.size()-wide parallel sections, and
-/// the per-objective O(m^3) covariance factorizations — serial inside
-/// sample_at — run concurrently across objectives.
+/// serially in objective order up front). Models with equal training
+/// inputs share one pool x train and one pool x pool statistic matrix; the
+/// cross-solves and covariance tiles of all objectives run as
+/// (objective x 4-point block) parallel sections, and the O(m^3)
+/// covariance factorizations run concurrently across objectives.
 std::vector<std::vector<double>> sample_objectives_at(
     const std::vector<GaussianProcess>& gps, const std::vector<std::vector<double>>& xs,
     std::mt19937_64& rng);

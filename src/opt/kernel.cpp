@@ -1,9 +1,80 @@
 #include "opt/kernel.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
+#include "par/parallel.hpp"
+
 namespace lens::opt {
+
+namespace {
+// One coordinate's term of each statistic, summed from 0.0 in ascending
+// coordinate order. Hamming terms are 0.0 or 1.0, so its double sum is the
+// exact count.
+struct SquaredDistanceTerm {
+  static double term(double a, double b) {
+    const double d = a - b;
+    return d * d;
+  }
+};
+struct HammingTerm {
+  static double term(double a, double b) { return std::abs(a - b) > 1e-9 ? 1.0 : 0.0; }
+};
+
+// statistic(xs[i], z) for every row, four rows per feature pass. Each row
+// keeps its own accumulator in ascending feature order, so every lane is
+// the scalar statistic bit for bit; the four independent chains are what
+// the compiler vectorizes.
+template <typename Term>
+void statistic_row(const std::vector<std::vector<double>>& xs, const std::vector<double>& z,
+                   double* out) {
+  const std::size_t n = xs.size();
+  const std::size_t dim = z.size();
+  for (const std::vector<double>& row : xs) {
+    if (row.size() != dim) throw std::invalid_argument("kernel: dimension mismatch");
+  }
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const double* r0 = xs[i].data();
+    const double* r1 = xs[i + 1].data();
+    const double* r2 = xs[i + 2].data();
+    const double* r3 = xs[i + 3].data();
+    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+    for (std::size_t f = 0; f < dim; ++f) {
+      const double zf = z[f];
+      a0 += Term::term(r0[f], zf);
+      a1 += Term::term(r1[f], zf);
+      a2 += Term::term(r2[f], zf);
+      a3 += Term::term(r3[f], zf);
+    }
+    out[i] = a0;
+    out[i + 1] = a1;
+    out[i + 2] = a2;
+    out[i + 3] = a3;
+  }
+  for (; i < n; ++i) {
+    double a = 0.0;
+    for (std::size_t f = 0; f < dim; ++f) a += Term::term(xs[i][f], z[f]);
+    out[i] = a;
+  }
+}
+
+void statistic_row(PairStatistic statistic, const std::vector<std::vector<double>>& xs,
+                   const std::vector<double>& z, double* out) {
+  if (statistic == PairStatistic::kHammingCount) {
+    statistic_row<HammingTerm>(xs, z, out);
+  } else {
+    statistic_row<SquaredDistanceTerm>(xs, z, out);
+  }
+}
+
+void check_params(double signal_variance, double length_scale) {
+  if (signal_variance <= 0.0 || length_scale <= 0.0) {
+    throw std::invalid_argument("kernel: hyper-parameters must be positive");
+  }
+}
+}  // namespace
 
 std::size_t hamming_distance(const std::vector<double>& x, const std::vector<double>& y,
                              double tolerance) {
@@ -18,22 +89,39 @@ std::size_t hamming_distance(const std::vector<double>& x, const std::vector<dou
 double squared_distance(const std::vector<double>& x, const std::vector<double>& y) {
   if (x.size() != y.size()) throw std::invalid_argument("squared_distance: size mismatch");
   double acc = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const double d = x[i] - y[i];
-    acc += d * d;
-  }
+  for (std::size_t i = 0; i < x.size(); ++i) acc += SquaredDistanceTerm::term(x[i], y[i]);
   return acc;
 }
 
+Matrix pair_statistics(PairStatistic statistic, const std::vector<std::vector<double>>& xs,
+                       const std::vector<std::vector<double>>& queries) {
+  Matrix out(queries.size(), xs.size());
+  if (xs.empty()) return out;
+  par::parallel_for(queries.size(), [&](std::size_t q) {
+    statistic_row(statistic, xs, queries[q], &out(q, 0));
+  });
+  return out;
+}
+
+double Kernel::operator()(const std::vector<double>& x, const std::vector<double>& y) const {
+  const double s = statistic() == PairStatistic::kHammingCount
+                       ? static_cast<double>(hamming_distance(x, y))
+                       : squared_distance(x, y);
+  double k = 0.0;
+  values(&s, 1, x.size(), &k);
+  return k;
+}
+
 Matrix Kernel::gram(const std::vector<std::vector<double>>& xs) const {
-  const std::size_t n = xs.size();
+  return gram(pair_statistics(statistic(), xs, xs), xs.empty() ? 0 : xs.front().size());
+}
+
+Matrix Kernel::gram(const Matrix& statistics, std::size_t dim) const {
+  const std::size_t n = statistics.rows();
   Matrix k(n, n);
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i; j < n; ++j) {
-      const double v = (*this)(xs[i], xs[j]);
-      k(i, j) = v;
-      k(j, i) = v;
-    }
+    values(statistics.row_data(i), i + 1, dim, &k(i, 0));
+    for (std::size_t j = 0; j < i; ++j) k(j, i) = k(i, j);
   }
   return k;
 }
@@ -47,7 +135,8 @@ std::vector<double> Kernel::cross(const std::vector<std::vector<double>>& xs,
 
 void Kernel::cross_into(const std::vector<std::vector<double>>& xs,
                         const std::vector<double>& z, double* out) const {
-  for (std::size_t i = 0; i < xs.size(); ++i) out[i] = (*this)(xs[i], z);
+  statistic_row(statistic(), xs, z, out);
+  values(out, xs.size(), z.size(), out);
 }
 
 Kernel::GramRow Kernel::gram_row(const std::vector<std::vector<double>>& xs,
@@ -55,58 +144,20 @@ Kernel::GramRow Kernel::gram_row(const std::vector<std::vector<double>>& xs,
   return {cross(xs, z), (*this)(z, z)};
 }
 
-namespace {
-void check_params(double signal_variance, double length_scale) {
-  if (signal_variance <= 0.0 || length_scale <= 0.0) {
-    throw std::invalid_argument("kernel: hyper-parameters must be positive");
-  }
-}
-
-// Four squared distances against a shared query, one feature pass. Each
-// row keeps its own accumulator updated in ascending feature order with the
-// exact `acc += d * d` of squared_distance(), so every lane reproduces the
-// scalar result bit-for-bit; the four independent chains are what the
-// compiler vectorizes.
-inline void squared_distance_x4(const double* r0, const double* r1, const double* r2,
-                                const double* r3, const double* z, std::size_t dim,
-                                double out[4]) {
-  double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-  for (std::size_t f = 0; f < dim; ++f) {
-    const double zf = z[f];
-    const double d0 = r0[f] - zf;
-    const double d1 = r1[f] - zf;
-    const double d2 = r2[f] - zf;
-    const double d3 = r3[f] - zf;
-    a0 += d0 * d0;
-    a1 += d1 * d1;
-    a2 += d2 * d2;
-    a3 += d3 * d3;
-  }
-  out[0] = a0;
-  out[1] = a1;
-  out[2] = a2;
-  out[3] = a3;
-}
-
-// True when all four rows have the query's dimensionality; mismatches fall
-// back to operator() so the blocked path surfaces the identical
-// std::invalid_argument the scalar path throws.
-inline bool rows_match_x4(const std::vector<std::vector<double>>& xs, std::size_t i,
-                          std::size_t dim) {
-  return xs[i].size() == dim && xs[i + 1].size() == dim && xs[i + 2].size() == dim &&
-         xs[i + 3].size() == dim;
-}
-}  // namespace
+// The families' formulas. Each reads statistics[i] before writing out[i],
+// so cross_into() may evaluate in place.
 
 RbfKernel::RbfKernel(double signal_variance, double length_scale)
     : signal_variance_(signal_variance), length_scale_(length_scale) {
   check_params(signal_variance, length_scale);
 }
 
-double RbfKernel::operator()(const std::vector<double>& x,
-                             const std::vector<double>& y) const {
-  const double d2 = squared_distance(x, y);
-  return signal_variance_ * std::exp(-0.5 * d2 / (length_scale_ * length_scale_));
+void RbfKernel::values(const double* statistics, std::size_t count, std::size_t,
+                       double* out) const {
+  const double ll = length_scale_ * length_scale_;
+  for (std::size_t i = 0; i < count; ++i) {
+    out[i] = signal_variance_ * std::exp(-0.5 * statistics[i] / ll);
+  }
 }
 
 std::unique_ptr<Kernel> RbfKernel::with_params(double signal_variance,
@@ -114,87 +165,18 @@ std::unique_ptr<Kernel> RbfKernel::with_params(double signal_variance,
   return std::make_unique<RbfKernel>(signal_variance, length_scale);
 }
 
-void RbfKernel::cross_into(const std::vector<std::vector<double>>& xs,
-                           const std::vector<double>& z, double* out) const {
-  const std::size_t n = xs.size();
-  const std::size_t dim = z.size();
-  const double ll = length_scale_ * length_scale_;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    if (!rows_match_x4(xs, i, dim)) {
-      for (std::size_t k = 0; k < 4; ++k) out[i + k] = (*this)(xs[i + k], z);
-      continue;
-    }
-    double d2[4];
-    squared_distance_x4(xs[i].data(), xs[i + 1].data(), xs[i + 2].data(),
-                        xs[i + 3].data(), z.data(), dim, d2);
-    for (std::size_t k = 0; k < 4; ++k) {
-      out[i + k] = signal_variance_ * std::exp(-0.5 * d2[k] / ll);
-    }
-  }
-  for (; i < n; ++i) out[i] = (*this)(xs[i], z);
-}
-
-HammingKernel::HammingKernel(double signal_variance, double length_scale)
-    : signal_variance_(signal_variance), length_scale_(length_scale) {
-  check_params(signal_variance, length_scale);
-}
-
-double HammingKernel::operator()(const std::vector<double>& x,
-                                 const std::vector<double>& y) const {
-  const double d = static_cast<double>(x.size());
-  const double h = static_cast<double>(hamming_distance(x, y));
-  return signal_variance_ * std::exp(-h / (length_scale_ * std::max(d, 1.0)));
-}
-
-std::unique_ptr<Kernel> HammingKernel::with_params(double signal_variance,
-                                                   double length_scale) const {
-  return std::make_unique<HammingKernel>(signal_variance, length_scale);
-}
-
-void HammingKernel::cross_into(const std::vector<std::vector<double>>& xs,
-                               const std::vector<double>& z, double* out) const {
-  const std::size_t n = xs.size();
-  const std::size_t dim = z.size();
-  const double denom = length_scale_ * std::max(static_cast<double>(dim), 1.0);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    if (!rows_match_x4(xs, i, dim)) {
-      for (std::size_t k = 0; k < 4; ++k) out[i + k] = (*this)(xs[i + k], z);
-      continue;
-    }
-    const double* r0 = xs[i].data();
-    const double* r1 = xs[i + 1].data();
-    const double* r2 = xs[i + 2].data();
-    const double* r3 = xs[i + 3].data();
-    std::size_t c0 = 0, c1 = 0, c2 = 0, c3 = 0;
-    for (std::size_t f = 0; f < dim; ++f) {
-      const double zf = z[f];
-      c0 += std::abs(r0[f] - zf) > 1e-9 ? 1 : 0;
-      c1 += std::abs(r1[f] - zf) > 1e-9 ? 1 : 0;
-      c2 += std::abs(r2[f] - zf) > 1e-9 ? 1 : 0;
-      c3 += std::abs(r3[f] - zf) > 1e-9 ? 1 : 0;
-    }
-    // Exact hamming counts, so the quotient below matches operator()'s
-    // -h / (l * max(d, 1)) bit-for-bit.
-    out[i] = signal_variance_ * std::exp(-static_cast<double>(c0) / denom);
-    out[i + 1] = signal_variance_ * std::exp(-static_cast<double>(c1) / denom);
-    out[i + 2] = signal_variance_ * std::exp(-static_cast<double>(c2) / denom);
-    out[i + 3] = signal_variance_ * std::exp(-static_cast<double>(c3) / denom);
-  }
-  for (; i < n; ++i) out[i] = (*this)(xs[i], z);
-}
-
 Matern52Kernel::Matern52Kernel(double signal_variance, double length_scale)
     : signal_variance_(signal_variance), length_scale_(length_scale) {
   check_params(signal_variance, length_scale);
 }
 
-double Matern52Kernel::operator()(const std::vector<double>& x,
-                                  const std::vector<double>& y) const {
-  const double r = std::sqrt(squared_distance(x, y));
-  const double s = std::sqrt(5.0) * r / length_scale_;
-  return signal_variance_ * (1.0 + s + s * s / 3.0) * std::exp(-s);
+void Matern52Kernel::values(const double* statistics, std::size_t count, std::size_t,
+                            double* out) const {
+  for (std::size_t i = 0; i < count; ++i) {
+    const double r = std::sqrt(statistics[i]);
+    const double s = std::sqrt(5.0) * r / length_scale_;
+    out[i] = signal_variance_ * (1.0 + s + s * s / 3.0) * std::exp(-s);
+  }
 }
 
 std::unique_ptr<Kernel> Matern52Kernel::with_params(double signal_variance,
@@ -202,26 +184,22 @@ std::unique_ptr<Kernel> Matern52Kernel::with_params(double signal_variance,
   return std::make_unique<Matern52Kernel>(signal_variance, length_scale);
 }
 
-void Matern52Kernel::cross_into(const std::vector<std::vector<double>>& xs,
-                                const std::vector<double>& z, double* out) const {
-  const std::size_t n = xs.size();
-  const std::size_t dim = z.size();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    if (!rows_match_x4(xs, i, dim)) {
-      for (std::size_t k = 0; k < 4; ++k) out[i + k] = (*this)(xs[i + k], z);
-      continue;
-    }
-    double d2[4];
-    squared_distance_x4(xs[i].data(), xs[i + 1].data(), xs[i + 2].data(),
-                        xs[i + 3].data(), z.data(), dim, d2);
-    for (std::size_t k = 0; k < 4; ++k) {
-      const double r = std::sqrt(d2[k]);
-      const double s = std::sqrt(5.0) * r / length_scale_;
-      out[i + k] = signal_variance_ * (1.0 + s + s * s / 3.0) * std::exp(-s);
-    }
+HammingKernel::HammingKernel(double signal_variance, double length_scale)
+    : signal_variance_(signal_variance), length_scale_(length_scale) {
+  check_params(signal_variance, length_scale);
+}
+
+void HammingKernel::values(const double* statistics, std::size_t count, std::size_t dim,
+                           double* out) const {
+  const double denom = length_scale_ * std::max(static_cast<double>(dim), 1.0);
+  for (std::size_t i = 0; i < count; ++i) {
+    out[i] = signal_variance_ * std::exp(-statistics[i] / denom);
   }
-  for (; i < n; ++i) out[i] = (*this)(xs[i], z);
+}
+
+std::unique_ptr<Kernel> HammingKernel::with_params(double signal_variance,
+                                                   double length_scale) const {
+  return std::make_unique<HammingKernel>(signal_variance, length_scale);
 }
 
 }  // namespace lens::opt

@@ -2,9 +2,11 @@
 // Covariance kernels for Gaussian-process regression.
 //
 // Kernels operate on real vectors (here: [0,1]-normalized architecture
-// genotypes or scaled feature vectors). Both stationary kernels share the
-// (signal_variance, length_scale) hyper-parameters that GaussianProcess
-// tunes by marginal likelihood.
+// genotypes or scaled feature vectors). Every family is a function of one
+// pair statistic that has no hyper-parameters — the squared Euclidean
+// distance (RBF, Matern-5/2) or the count of differing coordinates
+// (Hamming) — so one statistic matrix serves every (signal_variance,
+// length_scale) setting GaussianProcess tunes by marginal likelihood.
 
 #include <cstddef>
 #include <memory>
@@ -14,14 +16,34 @@
 
 namespace lens::opt {
 
+/// The hyper-parameter-free pair statistic a kernel family is a function of.
+enum class PairStatistic { kSquaredDistance, kHammingCount };
+
+/// S(q, i) = statistic(xs[i], queries[q]): a queries.size() x xs.size()
+/// matrix. Rows run in parallel, each as a blocked sweep of four rows of
+/// `xs` per feature pass whose accumulators keep the scalar order, so every
+/// entry equals squared_distance() / hamming_distance() bit for bit (the
+/// statistic is symmetric in its two points). Throws std::invalid_argument
+/// when a row of `xs` and a query differ in dimension.
+Matrix pair_statistics(PairStatistic statistic, const std::vector<std::vector<double>>& xs,
+                       const std::vector<std::vector<double>>& queries);
+
 /// Interface for a positive-definite covariance kernel k(x, y).
 class Kernel {
  public:
   virtual ~Kernel() = default;
 
+  /// The pair statistic this kernel is a function of.
+  virtual PairStatistic statistic() const = 0;
+
+  /// The family's formula: out[i] = k as a function of statistics[i], the
+  /// pair statistic of two `dim`-dimensional points. operator(), gram(),
+  /// cross_into() and gram_row() all evaluate the kernel through here.
+  virtual void values(const double* statistics, std::size_t count, std::size_t dim,
+                      double* out) const = 0;
+
   /// Covariance between two points.
-  virtual double operator()(const std::vector<double>& x,
-                            const std::vector<double>& y) const = 0;
+  double operator()(const std::vector<double>& x, const std::vector<double>& y) const;
 
   /// Signal variance k(x, x).
   virtual double variance() const = 0;
@@ -36,27 +58,26 @@ class Kernel {
   /// Gram matrix K where K_ij = k(X_i, X_j).
   Matrix gram(const std::vector<std::vector<double>>& xs) const;
 
+  /// Gram matrix from a symmetric statistic matrix of `dim`-dimensional
+  /// points (pair_statistics(statistic(), xs, xs)): K_ij = k(S_ij). Each
+  /// lower-triangle entry is evaluated once and mirrored.
+  Matrix gram(const Matrix& statistics, std::size_t dim) const;
+
   /// Cross-covariance vector k(X_i, z) for all rows of X.
   std::vector<double> cross(const std::vector<std::vector<double>>& xs,
                             const std::vector<double>& z) const;
 
-  /// Write k(X_i, z) into out[0..xs.size()). This is the hot path behind
-  /// cross() / gram_row(): the concrete kernels override it with a blocked
-  /// sweep that walks four rows per feature pass — four independent
-  /// accumulator chains the compiler vectorizes across rows — while each
-  /// row's accumulation order and final kernel expression stay exactly
-  /// those of operator(), so blocked and scalar results are bit-identical
-  /// (the base-class implementation below is the scalar oracle the tests
-  /// compare against).
-  virtual void cross_into(const std::vector<std::vector<double>>& xs,
-                          const std::vector<double>& z, double* out) const;
+  /// Write k(X_i, z) into out[0..xs.size()): the blocked statistic sweep of
+  /// pair_statistics() for one query, then values().
+  void cross_into(const std::vector<std::vector<double>>& xs, const std::vector<double>& z,
+                  double* out) const;
 
   /// One bordered Gram row: the cross-covariances against the existing
   /// points plus the self-covariance k(z, z). Appending a point to a
   /// factorized Gram matrix needs exactly this O(n·d) row — not the full
-  /// O(n^2·d) gram() — and `self` is evaluated through the same operator()
-  /// the full Gram diagonal uses, so incremental and full factorizations
-  /// see bit-identical entries.
+  /// O(n^2·d) gram() — and every entry goes through the same values() the
+  /// full Gram uses, so incremental and full factorizations see
+  /// bit-identical entries.
   struct GramRow {
     std::vector<double> cross;  ///< k(X_i, z) for every existing row
     double self = 0.0;          ///< k(z, z)
@@ -71,15 +92,14 @@ class RbfKernel final : public Kernel {
  public:
   RbfKernel(double signal_variance, double length_scale);
 
-  double operator()(const std::vector<double>& x,
-                    const std::vector<double>& y) const override;
+  PairStatistic statistic() const override { return PairStatistic::kSquaredDistance; }
+  void values(const double* statistics, std::size_t count, std::size_t dim,
+              double* out) const override;
   double variance() const override { return signal_variance_; }
   std::unique_ptr<Kernel> with_params(double signal_variance,
                                       double length_scale) const override;
   double signal_variance() const override { return signal_variance_; }
   double length_scale() const override { return length_scale_; }
-  void cross_into(const std::vector<std::vector<double>>& xs,
-                  const std::vector<double>& z, double* out) const override;
 
  private:
   double signal_variance_;
@@ -94,15 +114,14 @@ class Matern52Kernel final : public Kernel {
  public:
   Matern52Kernel(double signal_variance, double length_scale);
 
-  double operator()(const std::vector<double>& x,
-                    const std::vector<double>& y) const override;
+  PairStatistic statistic() const override { return PairStatistic::kSquaredDistance; }
+  void values(const double* statistics, std::size_t count, std::size_t dim,
+              double* out) const override;
   double variance() const override { return signal_variance_; }
   std::unique_ptr<Kernel> with_params(double signal_variance,
                                       double length_scale) const override;
   double signal_variance() const override { return signal_variance_; }
   double length_scale() const override { return length_scale_; }
-  void cross_into(const std::vector<std::vector<double>>& xs,
-                  const std::vector<double>& z, double* out) const override;
 
  private:
   double signal_variance_;
@@ -118,15 +137,14 @@ class HammingKernel final : public Kernel {
  public:
   HammingKernel(double signal_variance, double length_scale);
 
-  double operator()(const std::vector<double>& x,
-                    const std::vector<double>& y) const override;
+  PairStatistic statistic() const override { return PairStatistic::kHammingCount; }
+  void values(const double* statistics, std::size_t count, std::size_t dim,
+              double* out) const override;
   double variance() const override { return signal_variance_; }
   std::unique_ptr<Kernel> with_params(double signal_variance,
                                       double length_scale) const override;
   double signal_variance() const override { return signal_variance_; }
   double length_scale() const override { return length_scale_; }
-  void cross_into(const std::vector<std::vector<double>>& xs,
-                  const std::vector<double>& z, double* out) const override;
 
  private:
   double signal_variance_;

@@ -1,6 +1,7 @@
 #include "opt/matrix.hpp"
 
 #include <cmath>
+#include <type_traits>
 
 namespace lens::opt {
 
@@ -89,19 +90,86 @@ double Matrix::frobenius_norm() const {
   return std::sqrt(acc);
 }
 
+namespace {
+// Lanes 2h and 2h+1 of a row of R right-hand sides; a lane past R reads as
+// 0.0 and is never stored back.
+template <std::size_t R>
+DoublePair load_lanes(const double* row, std::size_t h) {
+  DoublePair v = {row[2 * h], 0.0};
+  if (2 * h + 1 < R) v[1] = row[2 * h + 1];
+  return v;
+}
+
+template <std::size_t R>
+void store_lanes(double* row, std::size_t h, DoublePair v) {
+  row[2 * h] = v[0];
+  if (2 * h + 1 < R) row[2 * h + 1] = v[1];
+}
+
+// Calls fn(std::integral_constant<std::size_t, R>{}) with R = min(width, 4),
+// so the four-wide kernels below are also compiled for every tail width.
+template <typename Fn>
+void with_width(std::size_t width, Fn&& fn) {
+  switch (width) {
+    case 1: fn(std::integral_constant<std::size_t, 1>{}); break;
+    case 2: fn(std::integral_constant<std::size_t, 2>{}); break;
+    case 3: fn(std::integral_constant<std::size_t, 3>{}); break;
+    default: fn(std::integral_constant<std::size_t, 4>{}); break;
+  }
+}
+}  // namespace
+
 CholeskyFactor CholeskyFactor::factorize(const Matrix& a) {
   if (a.rows() != a.cols()) {
     throw std::invalid_argument("CholeskyFactor::factorize: matrix not square");
   }
   CholeskyFactor f;
-  f.data_.reserve(a.rows() * (a.rows() + 1) / 2);
-  std::vector<double> row;
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    row.resize(i);
-    for (std::size_t j = 0; j < i; ++j) row[j] = a(i, j);
-    f.extend(row, a(i, i));
+  f.data_.resize(a.rows() * (a.rows() + 1) / 2);
+  while (f.n_ < a.rows()) {
+    with_width(a.rows() - f.n_, [&](auto rows) { f.settle_rows<decltype(rows)::value>(a); });
   }
   return f;
+}
+
+template <std::size_t R>
+void CholeskyFactor::settle_rows(const Matrix& a) {
+  const std::size_t i0 = n_;
+  // Columns [0, i0): right-hand side q is a(i0 + q, 0..i0), solved against
+  // the settled factor — exactly the forward substitution extend() runs.
+  std::vector<double> panel(i0 * R);
+  for (std::size_t t = 0; t < i0; ++t) {
+    for (std::size_t q = 0; q < R; ++q) panel[t * R + q] = a(i0 + q, t);
+  }
+  solve_lower_group<R>(panel.data(), R);
+  for (std::size_t q = 0; q < R; ++q) {
+    for (std::size_t t = 0; t < i0; ++t) el(i0 + q, t) = panel[t * R + q];
+  }
+  // In-block entries L(i0+q, i0+p), p < q, and the pivots (p == q): their
+  // sums over the settled columns are independent chains, run in one pass;
+  // each then continues over the block's own columns in ascending order.
+  double acc[R][R] = {};
+  for (std::size_t q = 0; q < R; ++q) {
+    for (std::size_t p = 0; p <= q; ++p) acc[q][p] = a(i0 + q, i0 + p);
+  }
+  for (std::size_t t = 0; t < i0; ++t) {
+    for (std::size_t q = 0; q < R; ++q) {
+      for (std::size_t p = 0; p <= q; ++p) acc[q][p] -= el(i0 + p, t) * el(i0 + q, t);
+    }
+  }
+  for (std::size_t q = 0; q < R; ++q) {
+    const std::size_t r = i0 + q;
+    for (std::size_t p = 0; p < q; ++p) {
+      const std::size_t j = i0 + p;
+      for (std::size_t t = i0; t < j; ++t) acc[q][p] -= el(j, t) * el(r, t);
+      el(r, j) = acc[q][p] / el(j, j);
+    }
+    for (std::size_t t = i0; t < r; ++t) acc[q][q] -= el(r, t) * el(r, t);
+    if (acc[q][q] <= 0.0 || !std::isfinite(acc[q][q])) {
+      throw std::domain_error("cholesky: matrix not positive definite");
+    }
+    el(r, r) = std::sqrt(acc[q][q]);
+  }
+  n_ += R;
 }
 
 void CholeskyFactor::extend(const std::vector<double>& cross_row, double diag) {
@@ -129,61 +197,64 @@ double CholeskyFactor::at(std::size_t i, std::size_t j) const {
 
 std::vector<double> CholeskyFactor::solve_lower(const std::vector<double>& b) const {
   if (b.size() != n_) throw std::invalid_argument("CholeskyFactor::solve_lower: size mismatch");
-  std::vector<double> x(n_);
-  std::size_t i = 0;
-  // 4-row panels. The partial sums of rows i..i+3 over the settled prefix
-  // x[0..i) are four independent accumulator chains — each still subtracts
-  // in ascending j with `acc -= L(i,j) * x[j]` exactly as the reference
-  // loop, so every chain is bit-identical to its scalar counterpart while
-  // the compiler vectorizes across the four rows. The trailing 4x4
-  // triangle then resolves serially, continuing each row's subtraction
-  // sequence in ascending j before the final divide.
-  for (; i + 4 <= n_; i += 4) {
-    const double* r0 = &data_[i * (i + 1) / 2];
-    const double* r1 = &data_[(i + 1) * (i + 2) / 2];
-    const double* r2 = &data_[(i + 2) * (i + 3) / 2];
-    const double* r3 = &data_[(i + 3) * (i + 4) / 2];
-    double a0 = b[i];
-    double a1 = b[i + 1];
-    double a2 = b[i + 2];
-    double a3 = b[i + 3];
-    for (std::size_t j = 0; j < i; ++j) {
-      const double xj = x[j];
-      a0 -= r0[j] * xj;
-      a1 -= r1[j] * xj;
-      a2 -= r2[j] * xj;
-      a3 -= r3[j] * xj;
-    }
-    x[i] = a0 / r0[i];
-    a1 -= r1[i] * x[i];
-    x[i + 1] = a1 / r1[i + 1];
-    a2 -= r2[i] * x[i];
-    a2 -= r2[i + 1] * x[i + 1];
-    x[i + 2] = a2 / r2[i + 2];
-    a3 -= r3[i] * x[i];
-    a3 -= r3[i + 1] * x[i + 1];
-    a3 -= r3[i + 2] * x[i + 2];
-    x[i + 3] = a3 / r3[i + 3];
-  }
-  for (; i < n_; ++i) {
-    double acc = b[i];
-    for (std::size_t j = 0; j < i; ++j) acc -= el(i, j) * x[j];
-    x[i] = acc / el(i, i);
-  }
+  std::vector<double> x = b;
+  solve_lower_many(x.data(), 1, 1);
   return x;
 }
 
-std::vector<double> CholeskyFactor::solve_lower_reference(const std::vector<double>& b) const {
-  if (b.size() != n_) {
-    throw std::invalid_argument("CholeskyFactor::solve_lower_reference: size mismatch");
+void CholeskyFactor::solve_lower_many(double* b, std::size_t ld, std::size_t count) const {
+  if (ld < count) {
+    throw std::invalid_argument("CholeskyFactor::solve_lower_many: ld smaller than count");
   }
-  std::vector<double> x(n_);
-  for (std::size_t i = 0; i < n_; ++i) {
-    double acc = b[i];
-    for (std::size_t j = 0; j < i; ++j) acc -= el(i, j) * x[j];
-    x[i] = acc / el(i, i);
+  for (std::size_t q = 0; q < count; q += 4) {
+    with_width(count - q,
+               [&](auto width) { solve_lower_group<decltype(width)::value>(b + q, ld); });
   }
-  return x;
+}
+
+template <std::size_t R>
+void CholeskyFactor::solve_lower_group(double* b, std::size_t ld) const {
+  constexpr std::size_t kPairs = (R + 1) / 2;
+  std::size_t i = 0;
+  // 4-row panels. Each (row, right-hand side) pair is its own accumulator
+  // chain over the settled prefix x[0..i), subtracting in ascending t
+  // exactly as the row-oriented loop; the right-hand sides of one row sit
+  // side by side, two per DoublePair. The 4x4 triangle then finishes each
+  // chain in ascending t before its divide.
+  for (; i + 4 <= n_; i += 4) {
+    const double* l[4] = {&data_[i * (i + 1) / 2], &data_[(i + 1) * (i + 2) / 2],
+                          &data_[(i + 2) * (i + 3) / 2], &data_[(i + 3) * (i + 4) / 2]};
+    DoublePair acc[4][kPairs];
+    for (std::size_t p = 0; p < 4; ++p) {
+      for (std::size_t h = 0; h < kPairs; ++h) acc[p][h] = load_lanes<R>(b + (i + p) * ld, h);
+    }
+    for (std::size_t t = 0; t < i; ++t) {
+      DoublePair x[kPairs];
+      for (std::size_t h = 0; h < kPairs; ++h) x[h] = load_lanes<R>(b + t * ld, h);
+      for (std::size_t p = 0; p < 4; ++p) {
+        for (std::size_t h = 0; h < kPairs; ++h) acc[p][h] -= l[p][t] * x[h];
+      }
+    }
+    for (std::size_t p = 0; p < 4; ++p) {
+      for (std::size_t s = 0; s < p; ++s) {
+        for (std::size_t h = 0; h < kPairs; ++h) {
+          acc[p][h] -= l[p][i + s] * load_lanes<R>(b + (i + s) * ld, h);
+        }
+      }
+      for (std::size_t h = 0; h < kPairs; ++h) {
+        store_lanes<R>(b + (i + p) * ld, h, acc[p][h] / l[p][i + p]);
+      }
+    }
+  }
+  for (; i < n_; ++i) {
+    const double* l = &data_[i * (i + 1) / 2];
+    DoublePair acc[kPairs];
+    for (std::size_t h = 0; h < kPairs; ++h) acc[h] = load_lanes<R>(b + i * ld, h);
+    for (std::size_t t = 0; t < i; ++t) {
+      for (std::size_t h = 0; h < kPairs; ++h) acc[h] -= l[t] * load_lanes<R>(b + t * ld, h);
+    }
+    for (std::size_t h = 0; h < kPairs; ++h) store_lanes<R>(b + i * ld, h, acc[h] / l[i]);
+  }
 }
 
 std::vector<double> CholeskyFactor::solve_lower_transpose(const std::vector<double>& b) const {
@@ -215,64 +286,6 @@ Matrix CholeskyFactor::dense() const {
     for (std::size_t j = 0; j <= i; ++j) out(i, j) = el(i, j);
   }
   return out;
-}
-
-Matrix cholesky(const Matrix& a) {
-  if (a.rows() != a.cols()) throw std::invalid_argument("cholesky: matrix not square");
-  const std::size_t n = a.rows();
-  Matrix l(n, n);
-  for (std::size_t j = 0; j < n; ++j) {
-    double diag = a(j, j);
-    for (std::size_t k = 0; k < j; ++k) diag -= l(j, k) * l(j, k);
-    if (diag <= 0.0 || !std::isfinite(diag)) {
-      throw std::domain_error("cholesky: matrix not positive definite");
-    }
-    l(j, j) = std::sqrt(diag);
-    for (std::size_t i = j + 1; i < n; ++i) {
-      double acc = a(i, j);
-      for (std::size_t k = 0; k < j; ++k) acc -= l(i, k) * l(j, k);
-      l(i, j) = acc / l(j, j);
-    }
-  }
-  return l;
-}
-
-std::vector<double> solve_lower(const Matrix& l, const std::vector<double>& b) {
-  if (l.rows() != l.cols() || l.rows() != b.size()) {
-    throw std::invalid_argument("solve_lower: shape mismatch");
-  }
-  const std::size_t n = b.size();
-  std::vector<double> x(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = b[i];
-    for (std::size_t j = 0; j < i; ++j) acc -= l(i, j) * x[j];
-    x[i] = acc / l(i, i);
-  }
-  return x;
-}
-
-std::vector<double> solve_lower_transpose(const Matrix& l, const std::vector<double>& b) {
-  if (l.rows() != l.cols() || l.rows() != b.size()) {
-    throw std::invalid_argument("solve_lower_transpose: shape mismatch");
-  }
-  const std::size_t n = b.size();
-  std::vector<double> x(n);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double acc = b[ii];
-    for (std::size_t j = ii + 1; j < n; ++j) acc -= l(j, ii) * x[j];
-    x[ii] = acc / l(ii, ii);
-  }
-  return x;
-}
-
-std::vector<double> cholesky_solve(const Matrix& l, const std::vector<double>& b) {
-  return solve_lower_transpose(l, solve_lower(l, b));
-}
-
-double log_det_from_cholesky(const Matrix& l) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < l.rows(); ++i) acc += std::log(l(i, i));
-  return 2.0 * acc;
 }
 
 double dot(const std::vector<double>& a, const std::vector<double>& b) {

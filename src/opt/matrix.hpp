@@ -12,6 +12,12 @@
 
 namespace lens::opt {
 
+/// Two doubles operated on lane-wise (a GCC/Clang vector extension). Each
+/// lane of +, -, * and / rounds exactly like the scalar operation, so the
+/// blocked kernels use it to advance two independent accumulation chains
+/// per instruction without moving a bit.
+using DoublePair = double __attribute__((vector_size(16)));
+
 /// Dense row-major matrix of doubles.
 class Matrix {
  public:
@@ -38,6 +44,9 @@ class Matrix {
   double at(std::size_t r, std::size_t c) const;
 
   const std::vector<double>& data() const { return data_; }
+
+  /// Row r as cols() contiguous doubles.
+  const double* row_data(std::size_t r) const { return data_.data() + r * cols_; }
 
   /// Matrix product this * rhs.
   Matrix multiply(const Matrix& rhs) const;
@@ -80,22 +89,24 @@ class Matrix {
 ///
 ///     L'(n, 0..n-1) = L^{-1} r,   L'(n, n) = sqrt(d - ||L'(n, :)||^2),
 ///
-/// producing *exactly* the floats a full factorize(A') would: rows 0..n-1
-/// of L depend only on the leading block of A and are untouched, and the
-/// forward solve performs the same multiply/subtract/divide sequence (same
-/// operands, same order) as the bordered column sweep of the full
-/// algorithm. factorize() itself is implemented as n successive extends,
-/// which keeps the two paths bit-identical by construction. This is what
-/// lets the GP layer swap refit-per-iteration for incremental appends
-/// without perturbing search trajectories (see DESIGN.md "Posterior
+/// producing *exactly* the floats a full factorize(A') would. Every entry,
+/// on either path, is one chain: L(i, j) starts from a(i, j), subtracts
+/// L(j, t) * L(i, t) in ascending t < j and divides by L(j, j); the pivot
+/// starts from a(i, i) and subtracts L(i, t)^2 in ascending t. factorize()
+/// settles four rows at a time (one solve_lower_many() against the settled
+/// factor, then the in-block entries and pivots in ascending order), which
+/// keeps every chain and so matches n successive extends bit for bit. This
+/// is what lets the GP layer swap refit-per-iteration for incremental
+/// appends without perturbing search trajectories (see DESIGN.md "Posterior
 /// maintenance").
 class CholeskyFactor {
  public:
   CholeskyFactor() = default;
 
-  /// Full factorization of a square SPD matrix. Throws std::invalid_argument
-  /// when `a` is not square, std::domain_error when it is not (numerically)
-  /// positive definite — same contract as the free cholesky().
+  /// Full factorization of a square SPD matrix (only the lower triangle of
+  /// `a` is read). Throws std::invalid_argument when `a` is not square,
+  /// std::domain_error at the first row whose pivot is not positive and
+  /// finite (the matrix is not numerically positive definite).
   static CholeskyFactor factorize(const Matrix& a);
 
   /// Bordered-block append: grow the factor from n x n to (n+1) x (n+1).
@@ -111,18 +122,20 @@ class CholeskyFactor {
   /// Lower-triangular element L(i, j); zero above the diagonal.
   double at(std::size_t i, std::size_t j) const;
 
-  /// Solve L x = b (forward substitution), O(n^2). Implemented as a blocked
-  /// sweep — 4-row panels whose partial sums over the already-settled prefix
-  /// of x are independent accumulator chains (vectorizable across rows),
-  /// followed by a serial 4x4 triangular finish. Every x[i] receives the
-  /// exact subtract-in-ascending-j-then-divide sequence of the textbook
-  /// row-oriented loop, so the result is bit-identical to
-  /// solve_lower_reference() — the oracle the tests compare against.
+  /// Solve L x = b (forward substitution), O(n^2): solve_lower_many() with
+  /// one right-hand side.
   std::vector<double> solve_lower(const std::vector<double>& b) const;
 
-  /// The scalar row-oriented forward substitution solve_lower() must match
-  /// bit-for-bit. Kept as the regression oracle for the blocked path.
-  std::vector<double> solve_lower_reference(const std::vector<double>& b) const;
+  /// Solve L x_q = b_q in place for `count` right-hand sides stored as
+  /// columns: entry t of right-hand side q is b[t * ld + q] (ld >= count).
+  /// The sweep takes four right-hand sides at a time over 4-row panels of
+  /// L: the panel's partial sums over the settled prefix are 4 x 4
+  /// independent accumulator chains (side-by-side right-hand sides share a
+  /// DoublePair), then a 4 x 4 triangle finishes them. Every x_q[i] is the
+  /// textbook row-oriented chain — b_q[i] minus L(i, t) * x_q[t] in
+  /// ascending t, then one divide by L(i, i) — so each column is
+  /// bit-identical to solve_lower() of that column alone.
+  void solve_lower_many(double* b, std::size_t ld, std::size_t count) const;
 
   /// Solve L^T x = b (back substitution), O(n^2).
   std::vector<double> solve_lower_transpose(const std::vector<double>& b) const;
@@ -139,27 +152,17 @@ class CholeskyFactor {
  private:
   double& el(std::size_t i, std::size_t j) { return data_[i * (i + 1) / 2 + j]; }
   double el(std::size_t i, std::size_t j) const { return data_[i * (i + 1) / 2 + j]; }
+  /// Settle rows [n_, n_ + R) of `a` into the factor (the rows' storage is
+  /// already allocated); throws at the first non-positive pivot.
+  template <std::size_t R>
+  void settle_rows(const Matrix& a);
+  /// solve_lower_many() for exactly R right-hand sides.
+  template <std::size_t R>
+  void solve_lower_group(double* b, std::size_t ld) const;
 
   std::size_t n_ = 0;
   std::vector<double> data_;  // packed rows: row i at offset i(i+1)/2, length i+1
 };
-
-/// Cholesky factorization A = L * L^T for a symmetric positive-definite A.
-/// Returns the lower-triangular factor L. Throws std::domain_error when A is
-/// not (numerically) positive definite.
-Matrix cholesky(const Matrix& a);
-
-/// Solve L * x = b where L is lower triangular (forward substitution).
-std::vector<double> solve_lower(const Matrix& l, const std::vector<double>& b);
-
-/// Solve L^T * x = b where L is lower triangular (back substitution on L^T).
-std::vector<double> solve_lower_transpose(const Matrix& l, const std::vector<double>& b);
-
-/// Solve A * x = b using a precomputed Cholesky factor L of A.
-std::vector<double> cholesky_solve(const Matrix& l, const std::vector<double>& b);
-
-/// log(det(A)) from its Cholesky factor L: 2 * sum(log(L_ii)).
-double log_det_from_cholesky(const Matrix& l);
 
 /// Dot product; sizes must match.
 double dot(const std::vector<double>& a, const std::vector<double>& b);

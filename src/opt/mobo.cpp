@@ -159,20 +159,23 @@ void MoboEngine::refit_models(bool tune_hyperparameters) {
   std::vector<std::vector<double>> xs;
   xs.reserve(history_.size());
   for (const Observation& o : history_) xs.push_back(o.x);
+  std::vector<std::vector<double>> ys(num_objectives_);
   for (std::size_t k = 0; k < num_objectives_; ++k) {
-    std::vector<double> ys;
-    ys.reserve(history_.size());
-    for (const Observation& o : history_) ys.push_back(o.objectives[k]);
-    if (!tune_hyperparameters && models_ready_) {
-      // Reuse previously selected hyper-parameters; refactorize only. Same
-      // code path a checkpoint restore takes, so both are bit-identical to
-      // the incremental observe() chain.
+    ys[k].reserve(history_.size());
+    for (const Observation& o : history_) ys[k].push_back(o.objectives[k]);
+  }
+  if (!tune_hyperparameters && models_ready_) {
+    // Reuse previously selected hyper-parameters; refactorize only. Same
+    // code path a checkpoint restore takes, so both are bit-identical to
+    // the incremental observe() chain.
+    for (std::size_t k = 0; k < num_objectives_; ++k) {
       gps_[k] = GaussianProcess::from_snapshot(config_.gp, gps_[k].hyperparameters(), xs,
-                                               std::move(ys));
-    } else {
-      gps_[k] = GaussianProcess(config_.gp);
-      gps_[k].fit(xs, ys);
+                                               std::move(ys[k]));
     }
+  } else {
+    // One grid search for every objective: the objectives share X, so each
+    // grid point's factorization serves all of them.
+    gps_ = fit_objectives(config_.gp, std::move(xs), std::move(ys));
   }
   models_ready_ = true;
 }

@@ -1,7 +1,10 @@
 // Tests for the accuracy objective models (surrogate and statistics of the
 // error landscape it induces).
 
+#include <cmath>
+#include <limits>
 #include <random>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -93,6 +96,15 @@ TEST_F(SurrogateTest, OvercapacityPenaltyBites) {
   huge[22] = 5;
   const dnn::Architecture arch = space_.decode(huge);
   EXPECT_GT(harsh.test_error_percent(huge, arch), normal.test_error_percent(huge, arch));
+}
+
+TEST(Surrogate, RejectsNegativeOrNonFiniteNoise) {
+  for (const double bad : {-0.5, std::nan(""), std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(SurrogateAccuracyModel(SurrogateAccuracyConfig{.noise_std = bad}),
+                 std::invalid_argument)
+        << bad;
+  }
+  EXPECT_NO_THROW(SurrogateAccuracyModel(SurrogateAccuracyConfig{.noise_std = 0.0}));
 }
 
 TEST_F(SurrogateTest, CachedDecoratorMemoizes) {

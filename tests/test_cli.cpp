@@ -140,6 +140,15 @@ TEST(Commands, BadOptionValueIsUserError) {
   }
   EXPECT_EQ(run_command(parse({"faults", "--duration", "inf", "--rate", "1"})), 1);
   EXPECT_EQ(run_command(parse({"faults", "--duration", "5", "--retries", "-1"})), 1);
+  // Negative search budgets fail instead of wrapping to a huge size_t.
+  EXPECT_EQ(run_command(parse({"search", "--iterations", "-1", "--initial", "4"})), 1);
+  EXPECT_EQ(run_command(parse({"search", "--initial", "-1", "--iterations", "4"})), 1);
+  for (const char* knob : {"--checkpoint-period", "--checkpoint-keep"}) {
+    EXPECT_EQ(run_command(parse({"search", "--checkpoint", "ck", knob, "-1", "--iterations",
+                                 "4", "--initial", "4"})),
+              1)
+        << knob;
+  }
   // NaN throughput or RTT fails instead of pricing NaN rows.
   EXPECT_EQ(run_command(parse({"fleet", "--devices", "1000", "--steps", "4", "--tu", "nan"})),
             1);

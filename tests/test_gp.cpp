@@ -1,11 +1,20 @@
 // Unit tests for kernels and Gaussian-process regression (opt/kernel, opt/gp).
+//
+// The oracle namespace below freezes the earlier scalar paths — a kernel
+// evaluated per pair from its distance, the per-objective grid search over
+// Gram matrices built by operator(), and the per-row posterior draw — so the
+// shared-statistic grid search, the covariance tiles and the multi-RHS
+// solves are pinned to them bit for bit.
 
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <numbers>
 #include <random>
 
 #include <gtest/gtest.h>
 
+#include "matrix_oracles.hpp"
 #include "opt/gp.hpp"
 #include "opt/kernel.hpp"
 
@@ -14,6 +23,197 @@ namespace {
 
 /// Bit-level double equality (stricter than ==: distinguishes ±0.0).
 bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
+
+namespace oracle {
+using opt::oracle::cholesky;
+using opt::oracle::cholesky_solve;
+using opt::oracle::log_det_from_cholesky;
+using opt::oracle::solve_lower;
+
+/// k(x, y) of each family, evaluated from the pair's distance.
+double kernel(KernelFamily family, double sv, double l, const std::vector<double>& x,
+              const std::vector<double>& y) {
+  if (family == KernelFamily::kHamming) {
+    std::size_t count = 0;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      if (std::abs(x[i] - y[i]) > 1e-9) ++count;
+    }
+    const double d = static_cast<double>(x.size());
+    return sv * std::exp(-static_cast<double>(count) / (l * std::max(d, 1.0)));
+  }
+  double d2 = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const double d = x[i] - y[i];
+    d2 += d * d;
+  }
+  if (family == KernelFamily::kRbf) return sv * std::exp(-0.5 * d2 / (l * l));
+  const double s = std::sqrt(5.0) * std::sqrt(d2) / l;
+  return sv * (1.0 + s + s * s / 3.0) * std::exp(-s);
+}
+
+/// Gram matrix by per-pair evaluation of the upper triangle, mirrored.
+Matrix gram(KernelFamily family, double sv, double l, const std::vector<std::vector<double>>& xs) {
+  Matrix k(xs.size(), xs.size());
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    for (std::size_t j = i; j < xs.size(); ++j) {
+      k(i, j) = kernel(family, sv, l, xs[i], xs[j]);
+      k(j, i) = k(i, j);
+    }
+  }
+  return k;
+}
+
+/// A fitted model as the per-objective grid search left it.
+struct Model {
+  KernelFamily family = KernelFamily::kMatern52;
+  GpHyperparameters hp;
+  std::vector<std::vector<double>> x;
+  double y_mean = 0.0;
+  double y_std = 1.0;
+  Matrix l;                   // dense Cholesky factor of K + (noise + 1e-9) I
+  std::vector<double> alpha;
+  double lml = 0.0;
+};
+
+/// Factor, alpha and LML of one hyper-parameter triple (lml = -inf when
+/// the Gram matrix does not factorize or the LML is not finite).
+void factor_and_score(Model& model, const std::vector<double>& y_normalized) {
+  Matrix k = gram(model.family, model.hp.signal_variance, model.hp.length_scale, model.x);
+  k.add_diagonal(model.hp.noise_variance + 1e-9);
+  model.lml = -std::numeric_limits<double>::infinity();
+  try {
+    model.l = cholesky(k);
+  } catch (const std::domain_error&) {
+    return;
+  }
+  model.alpha = cholesky_solve(model.l, y_normalized);
+  const double n = static_cast<double>(model.x.size());
+  const double lml = -0.5 * dot(y_normalized, model.alpha) -
+                     0.5 * log_det_from_cholesky(model.l) -
+                     0.5 * n * std::log(2.0 * std::numbers::pi);
+  if (std::isfinite(lml)) model.lml = lml;
+}
+
+/// One objective's fit: standardize, score the 72-point grid (or the
+/// configured point), keep the first strict maximum, refit the winner.
+Model fit(const GpConfig& config, const std::vector<std::vector<double>>& x,
+          const std::vector<double>& y) {
+  Model model;
+  model.family = config.family;
+  model.x = x;
+  double mean = 0.0;
+  for (double v : y) mean += v;
+  mean /= static_cast<double>(y.size());
+  double var = 0.0;
+  for (double v : y) var += (v - mean) * (v - mean);
+  var /= static_cast<double>(y.size());
+  model.y_mean = mean;
+  model.y_std = var > 1e-12 ? std::sqrt(var) : 1.0;
+  std::vector<double> y_normalized(y.size());
+  for (std::size_t i = 0; i < y.size(); ++i) y_normalized[i] = (y[i] - mean) / model.y_std;
+
+  std::vector<GpHyperparameters> grid;
+  if (config.tune_hyperparameters) {
+    for (double l : {0.1, 0.2, 0.4, 0.8, 1.6, 3.2}) {
+      for (double s : {0.5, 1.0, 2.0}) {
+        for (double n : {1e-4, 1e-3, 1e-2, 1e-1}) grid.push_back({s, l, n});
+      }
+    }
+  } else {
+    grid.push_back({config.signal_variance, config.length_scale, config.noise_variance});
+  }
+  double best = -std::numeric_limits<double>::infinity();
+  std::size_t best_index = 0;
+  for (std::size_t g = 0; g < grid.size(); ++g) {
+    model.hp = grid[g];
+    factor_and_score(model, y_normalized);
+    if (model.lml > best) {
+      best = model.lml;
+      best_index = g;
+    }
+  }
+  if (!std::isfinite(best)) throw std::domain_error("oracle fit: no usable hyper-parameters");
+  model.hp = grid[best_index];
+  factor_and_score(model, y_normalized);
+  return model;
+}
+
+/// Posterior mean and variance at one point.
+GaussianProcess::Prediction predict(const Model& model, const std::vector<double>& q) {
+  std::vector<double> k_star;
+  for (const auto& xt : model.x) {
+    k_star.push_back(kernel(model.family, model.hp.signal_variance, model.hp.length_scale, xt, q));
+  }
+  const std::vector<double> v = solve_lower(model.l, k_star);
+  const double var_n = std::max(model.hp.signal_variance - dot(v, v), 1e-12);
+  return {model.y_mean + model.y_std * dot(k_star, model.alpha),
+          model.y_std * model.y_std * var_n};
+}
+
+/// The per-row posterior draw: cross-covariances and a forward solve per
+/// query point, dot-product covariance rows, then the jittered factor.
+std::vector<double> draw(const Model& model, const std::vector<std::vector<double>>& xs,
+                         const std::vector<double>& z) {
+  const std::size_t m = xs.size();
+  const double sv = model.hp.signal_variance;
+  const double l = model.hp.length_scale;
+  std::vector<std::vector<double>> vs(m);
+  std::vector<double> mean(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    std::vector<double> k_star;
+    for (const auto& xt : model.x) k_star.push_back(kernel(model.family, sv, l, xt, xs[i]));
+    mean[i] = dot(k_star, model.alpha);
+    vs[i] = solve_lower(model.l, k_star);
+  }
+  Matrix cov(m, m);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = i; j < m; ++j) {
+      cov(i, j) = kernel(model.family, sv, l, xs[i], xs[j]) - dot(vs[i], vs[j]);
+      cov(j, i) = cov(i, j);
+    }
+  }
+  Matrix factor;
+  for (double jitter = 1e-8;;) {
+    Matrix attempt = cov;
+    attempt.add_diagonal(jitter);
+    try {
+      factor = cholesky(attempt);
+      break;
+    } catch (const std::domain_error&) {
+      jitter *= 10.0;
+      if (jitter > 1.0) throw;
+    }
+  }
+  std::vector<double> out(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    double acc = mean[i];
+    for (std::size_t j = 0; j <= i; ++j) acc += factor(i, j) * z[j];
+    out[i] = model.y_mean + model.y_std * acc;
+  }
+  return out;
+}
+
+/// The prior draw of an unfitted model.
+std::vector<double> prior_draw(const GpConfig& config, const std::vector<std::vector<double>>& xs,
+                               const std::vector<double>& z) {
+  Matrix k = gram(config.family, config.signal_variance, config.length_scale, xs);
+  k.add_diagonal(1e-8);
+  const Matrix factor = cholesky(k);
+  std::vector<double> out(xs.size(), 0.0);
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    for (std::size_t j = 0; j <= i; ++j) out[i] += factor(i, j) * z[j];
+  }
+  return out;
+}
+
+/// m standard normals from a fresh distribution, as sample_at draws them.
+std::vector<double> normals(std::size_t m, std::mt19937_64& rng) {
+  std::normal_distribution<double> gauss(0.0, 1.0);
+  std::vector<double> z(m);
+  for (double& v : z) v = gauss(rng);
+  return z;
+}
+}  // namespace oracle
 
 TEST(Kernel, RbfBasicProperties) {
   const RbfKernel k(2.0, 0.5);
@@ -69,28 +269,47 @@ std::vector<std::vector<double>> random_rows(std::size_t n, std::size_t dim,
 }
 
 TEST(Kernel, BlockedCrossIntoMatchesScalarOracleBitForBit) {
-  // The concrete kernels override cross_into with a blocked four-row sweep;
-  // the base-class implementation is the scalar oracle. Sizes cover every
-  // tail length mod 4, so both the blocked panels and the scalar tail run.
+  // cross_into runs the blocked four-row statistic sweep, then the family's
+  // formula; the oracle evaluates each pair from its distance. Sizes cover
+  // every tail length mod 4, so both the blocked panels and the tail run.
   const RbfKernel rbf(1.7, 0.6);
   const Matern52Kernel matern(1.0, 0.4);
   const HammingKernel hamming(2.0, 0.3);
-  const std::vector<const Kernel*> kernels = {&rbf, &matern, &hamming};
+  const std::vector<std::pair<const Kernel*, KernelFamily>> kernels = {
+      {&rbf, KernelFamily::kRbf}, {&matern, KernelFamily::kMatern52},
+      {&hamming, KernelFamily::kHamming}};
   for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 16u, 33u}) {
     const std::vector<std::vector<double>> xs = random_rows(n, 7, 600 + n);
     const std::vector<double> z = random_rows(1, 7, 700 + n)[0];
-    for (std::size_t ki = 0; ki < kernels.size(); ++ki) {
-      const Kernel& k = *kernels[ki];
-      const std::vector<double> blocked = k.cross(xs, z);  // virtual dispatch
-      std::vector<double> reference(n);
-      k.Kernel::cross_into(xs, z, reference.data());  // scalar base-class oracle
+    for (const auto& [k, family] : kernels) {
+      const std::vector<double> blocked = k->cross(xs, z);
       ASSERT_EQ(blocked.size(), n);
       for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_TRUE(same_bits(blocked[i], reference[i]))
-            << "kernel=" << ki << " n=" << n << " i=" << i;
+        const double expected =
+            oracle::kernel(family, k->signal_variance(), k->length_scale(), xs[i], z);
+        EXPECT_TRUE(same_bits(blocked[i], expected))
+            << "family=" << static_cast<int>(family) << " n=" << n << " i=" << i;
+        EXPECT_TRUE(same_bits((*k)(xs[i], z), expected));
       }
     }
   }
+}
+
+TEST(Kernel, PairStatisticsMatchScalarDistances) {
+  const std::vector<std::vector<double>> xs = random_rows(11, 6, 40);
+  const std::vector<std::vector<double>> qs = random_rows(5, 6, 41);
+  const Matrix d2 = pair_statistics(PairStatistic::kSquaredDistance, xs, qs);
+  const Matrix h = pair_statistics(PairStatistic::kHammingCount, xs, qs);
+  ASSERT_EQ(d2.rows(), qs.size());
+  ASSERT_EQ(d2.cols(), xs.size());
+  for (std::size_t q = 0; q < qs.size(); ++q) {
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      EXPECT_TRUE(same_bits(d2(q, i), squared_distance(xs[i], qs[q])));
+      EXPECT_TRUE(same_bits(h(q, i), static_cast<double>(hamming_distance(xs[i], qs[q]))));
+    }
+  }
+  EXPECT_THROW(pair_statistics(PairStatistic::kSquaredDistance, xs, {{0.5}}),
+               std::invalid_argument);
 }
 
 TEST(Kernel, BlockedCrossIntoPropagatesDimensionMismatch) {
@@ -353,6 +572,164 @@ TEST(Gp, BatchedObjectiveDrawsMatchSequentialSampleAtBitForBit) {
   }
   // Both paths must leave the generator in the same state.
   EXPECT_EQ(rng_sequential(), rng_batched());
+}
+
+/// Shared inputs in [0,1]^dim (snapped to eighths) and three objectives'
+/// targets on very different scales.
+struct Objectives {
+  std::vector<std::vector<double>> x;
+  std::vector<std::vector<double>> ys = std::vector<std::vector<double>>(3);
+};
+
+Objectives three_objectives(std::vector<std::vector<double>> x) {
+  Objectives data;
+  for (const std::vector<double>& xi : x) {
+    data.ys[0].push_back(std::cos(3.0 * xi[0]) + 0.25 * xi[1]);
+    data.ys[1].push_back(10.0 * xi[0] * xi[2] - xi[1]);
+    data.ys[2].push_back(std::exp(xi[1]) + 100.0 * xi[2] * xi[2]);
+  }
+  data.x = std::move(x);
+  return data;
+}
+
+/// Every observable of a fitted model against the oracle's: hyper-parameters,
+/// LML, alpha, predictions and a Thompson draw, all bit for bit.
+void expect_matches_oracle(const GaussianProcess& gp, const oracle::Model& want,
+                           const std::vector<std::vector<double>>& queries,
+                           const std::string& what) {
+  EXPECT_TRUE(same_bits(gp.signal_variance(), want.hp.signal_variance)) << what;
+  EXPECT_TRUE(same_bits(gp.length_scale(), want.hp.length_scale)) << what;
+  EXPECT_TRUE(same_bits(gp.noise_variance(), want.hp.noise_variance)) << what;
+  EXPECT_TRUE(same_bits(gp.log_marginal_likelihood(), want.lml)) << what;
+  ASSERT_EQ(gp.alpha().size(), want.alpha.size()) << what;
+  for (std::size_t i = 0; i < want.alpha.size(); ++i) {
+    EXPECT_TRUE(same_bits(gp.alpha()[i], want.alpha[i])) << what << " alpha " << i;
+  }
+  for (const std::vector<double>& q : queries) {
+    const GaussianProcess::Prediction got = gp.predict(q);
+    const GaussianProcess::Prediction expected = oracle::predict(want, q);
+    EXPECT_TRUE(same_bits(got.mean, expected.mean)) << what;
+    EXPECT_TRUE(same_bits(got.variance, expected.variance)) << what;
+  }
+  std::mt19937_64 rng_got(77), rng_expected(77);
+  const std::vector<double> got = gp.sample_at(queries, rng_got);
+  const std::vector<double> expected =
+      oracle::draw(want, queries, oracle::normals(queries.size(), rng_expected));
+  ASSERT_EQ(got.size(), expected.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(same_bits(got[i], expected[i])) << what << " draw " << i;
+  }
+  EXPECT_EQ(rng_got(), rng_expected()) << what;
+}
+
+class GpSharedFitTest : public ::testing::TestWithParam<KernelFamily> {};
+
+TEST_P(GpSharedFitTest, SharedFitMatchesSeparateOracleFitsBitForBit) {
+  // One grid search for three objectives over shared X must give each the
+  // model its own per-objective grid search gives, and so must fit() (the
+  // one-objective case); tuned and configured-point fits alike.
+  const Objectives data = three_objectives(random_rows(23, 5, 1900));
+  const std::vector<std::vector<double>> queries = random_rows(7, 5, 1901);
+  for (const bool tune : {true, false}) {
+    GpConfig config;
+    config.family = GetParam();
+    config.tune_hyperparameters = tune;
+    config.signal_variance = 1.3;
+    config.length_scale = 0.7;
+    const std::vector<GaussianProcess> shared = fit_objectives(config, data.x, data.ys);
+    ASSERT_EQ(shared.size(), 3u);
+    for (std::size_t k = 0; k < 3; ++k) {
+      const oracle::Model want = oracle::fit(config, data.x, data.ys[k]);
+      const std::string what = "tune=" + std::to_string(tune) + " k=" + std::to_string(k);
+      expect_matches_oracle(shared[k], want, queries, "shared " + what);
+      GaussianProcess separate(config);
+      separate.fit(data.x, data.ys[k]);
+      expect_matches_oracle(separate, want, queries, "separate " + what);
+    }
+  }
+}
+
+TEST_P(GpSharedFitTest, BatchedDrawsOverSharedInputsMatchOracleDraws) {
+  // The MOBO case: objectives fitted over the same X share the pool's pair
+  // statistics, plus one unfitted model (prior draw, its own group). Pool
+  // sizes 1-9 cover every covariance-tile tail; 256 is the engine's pool.
+  GpConfig config;
+  config.family = GetParam();
+  const Objectives data = three_objectives(random_rows(21, 5, 2000));
+  std::vector<GaussianProcess> gps = fit_objectives(config, data.x, data.ys);
+  gps.emplace_back(config);
+  std::vector<oracle::Model> want;
+  for (std::size_t k = 0; k < 3; ++k) want.push_back(oracle::fit(config, data.x, data.ys[k]));
+
+  for (const std::size_t m : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 256u}) {
+    const std::vector<std::vector<double>> pool = random_rows(m, 5, 2100 + m);
+    std::mt19937_64 rng_batched(m), rng_oracle(m);
+    const std::vector<std::vector<double>> batched =
+        sample_objectives_at(gps, pool, rng_batched);
+    ASSERT_EQ(batched.size(), 4u);
+    for (std::size_t k = 0; k < 4; ++k) {
+      const std::vector<double> z = oracle::normals(m, rng_oracle);
+      const std::vector<double> expected =
+          k < 3 ? oracle::draw(want[k], pool, z) : oracle::prior_draw(config, pool, z);
+      ASSERT_EQ(batched[k].size(), m);
+      for (std::size_t i = 0; i < m; ++i) {
+        ASSERT_TRUE(same_bits(batched[k][i], expected[i]))
+            << "m=" << m << " objective " << k << " point " << i;
+      }
+    }
+    EXPECT_EQ(rng_batched(), rng_oracle()) << "m=" << m;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Families, GpSharedFitTest,
+                         ::testing::Values(KernelFamily::kRbf, KernelFamily::kMatern52,
+                                           KernelFamily::kHamming));
+
+TEST(GpSharedFit, TiedGridPointsKeepTheFirstInGridOrder) {
+  // Points 4000 apart: every off-diagonal kernel value underflows to 0 at
+  // every length scale, so the six length scales tie exactly and the first
+  // (0.1) must win for every objective, as in the per-objective search.
+  for (const KernelFamily family : {KernelFamily::kRbf, KernelFamily::kMatern52}) {
+    std::vector<std::vector<double>> x;
+    for (std::size_t i = 0; i < 9; ++i) {
+      x.push_back({4000.0 * static_cast<double>(i), 0.125 * static_cast<double>(i % 3), 0.5});
+    }
+    const Objectives data = three_objectives(x);
+    GpConfig config;
+    config.family = family;
+    const std::vector<GaussianProcess> shared = fit_objectives(config, data.x, data.ys);
+    for (std::size_t k = 0; k < 3; ++k) {
+      const oracle::Model want = oracle::fit(config, data.x, data.ys[k]);
+      ASSERT_TRUE(same_bits(want.hp.length_scale, 0.1));
+      GpConfig longest = config;  // the winner's triple at the last length scale
+      longest.tune_hyperparameters = false;
+      longest.signal_variance = want.hp.signal_variance;
+      longest.length_scale = 3.2;
+      longest.noise_variance = want.hp.noise_variance;
+      ASSERT_TRUE(same_bits(oracle::fit(longest, data.x, data.ys[k]).lml, want.lml))
+          << "the length scales must tie";
+      expect_matches_oracle(shared[k], want, {{2000.0, 0.25, 0.5}, {0.0, 0.0, 0.5}},
+                            "family=" + std::to_string(static_cast<int>(family)) +
+                                " k=" + std::to_string(k));
+    }
+  }
+}
+
+TEST(GpSharedFit, GridPointsWhoseFactorizationFailsAreSkipped) {
+  // One point 1e154 away: for Matern-5/2 the cross terms s*s overflow to
+  // inf times exp(-s) = 0, a NaN, at every length scale up to 1.6, so those
+  // grid points fail to factorize; at 3.2 the terms are exact zeros.
+  std::vector<std::vector<double>> x = random_rows(10, 3, 2200);
+  x.push_back({1e154, 0.5, 0.5});
+  const Objectives data = three_objectives(x);
+  GpConfig config;
+  config.family = KernelFamily::kMatern52;
+  const std::vector<GaussianProcess> shared = fit_objectives(config, data.x, data.ys);
+  for (std::size_t k = 0; k < 3; ++k) {
+    const oracle::Model want = oracle::fit(config, data.x, data.ys[k]);
+    ASSERT_TRUE(same_bits(want.hp.length_scale, 3.2));
+    expect_matches_oracle(shared[k], want, random_rows(5, 3, 2201), "k=" + std::to_string(k));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Families, GpIncrementalTest,

@@ -1,4 +1,5 @@
-// Unit tests for the dense linear-algebra kernel (opt/matrix).
+// Unit tests for the dense linear-algebra kernel (opt/matrix), against the
+// frozen scalar oracles of matrix_oracles.hpp.
 
 #include <cmath>
 #include <cstring>
@@ -6,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "matrix_oracles.hpp"
 #include "opt/matrix.hpp"
 
 namespace lens::opt {
@@ -99,7 +101,7 @@ TEST(Matrix, AddAndDiagonal) {
 TEST(Cholesky, FactorOfKnownSpdMatrix) {
   // A = L L^T with L = [[2,0],[1,3]] -> A = [[4,2],[2,10]].
   const Matrix a = Matrix::from_rows({{4, 2}, {2, 10}});
-  const Matrix l = cholesky(a);
+  const Matrix l = CholeskyFactor::factorize(a).dense();
   EXPECT_NEAR(l(0, 0), 2.0, 1e-12);
   EXPECT_NEAR(l(1, 0), 1.0, 1e-12);
   EXPECT_NEAR(l(1, 1), 3.0, 1e-12);
@@ -108,26 +110,27 @@ TEST(Cholesky, FactorOfKnownSpdMatrix) {
 
 TEST(Cholesky, RejectsIndefinite) {
   const Matrix a = Matrix::from_rows({{1, 2}, {2, 1}});  // eigenvalues 3, -1
-  EXPECT_THROW(cholesky(a), std::domain_error);
+  EXPECT_THROW(CholeskyFactor::factorize(a), std::domain_error);
+  EXPECT_THROW(oracle::cholesky(a), std::domain_error);
 }
 
 TEST(Cholesky, RejectsNonSquare) {
-  EXPECT_THROW(cholesky(Matrix(2, 3)), std::invalid_argument);
+  EXPECT_THROW(CholeskyFactor::factorize(Matrix(2, 3)), std::invalid_argument);
+  EXPECT_THROW(oracle::cholesky(Matrix(2, 3)), std::invalid_argument);
 }
 
 TEST(Cholesky, SolveReconstructsSolution) {
   const Matrix a = Matrix::from_rows({{6, 2, 1}, {2, 5, 2}, {1, 2, 4}});
   const std::vector<double> x_true = {1.0, -2.0, 3.0};
   const std::vector<double> b = a.multiply(x_true);
-  const Matrix l = cholesky(a);
-  const std::vector<double> x = cholesky_solve(l, b);
+  const std::vector<double> x = CholeskyFactor::factorize(a).solve(b);
   for (std::size_t i = 0; i < 3; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-10);
 }
 
 TEST(Cholesky, LogDetMatchesDirectComputation) {
   const Matrix a = Matrix::from_rows({{4, 2}, {2, 10}});  // det = 36
-  const Matrix l = cholesky(a);
-  EXPECT_NEAR(log_det_from_cholesky(l), std::log(36.0), 1e-12);
+  EXPECT_NEAR(CholeskyFactor::factorize(a).log_det(), std::log(36.0), 1e-12);
+  EXPECT_NEAR(oracle::log_det_from_cholesky(oracle::cholesky(a)), std::log(36.0), 1e-12);
 }
 
 TEST(Dot, BasicAndMismatch) {
@@ -151,9 +154,10 @@ TEST_P(CholeskyPropertyTest, RandomSpdSolve) {
   std::vector<double> x_true(static_cast<std::size_t>(n));
   for (double& v : x_true) v = gauss(rng);
   const std::vector<double> rhs = a.multiply(x_true);
-  const Matrix l = cholesky(a);
-  const std::vector<double> x = cholesky_solve(l, rhs);
+  const CholeskyFactor f = CholeskyFactor::factorize(a);
+  const std::vector<double> x = f.solve(rhs);
   for (std::size_t i = 0; i < x.size(); ++i) EXPECT_NEAR(x[i], x_true[i], 1e-7);
+  const Matrix l = f.dense();
 
   // L L^T reconstructs A.
   const Matrix rebuilt = l.multiply(l.transposed());
@@ -167,11 +171,11 @@ INSTANTIATE_TEST_SUITE_P(Sizes, CholeskyPropertyTest, ::testing::Values(1, 2, 3,
 TEST(TriangularSolves, ForwardAndTransposeAgreeWithDense) {
   const Matrix l = Matrix::from_rows({{2, 0, 0}, {1, 3, 0}, {-1, 2, 4}});
   const std::vector<double> b = {2.0, 7.0, 9.0};
-  const std::vector<double> y = solve_lower(l, b);
+  const std::vector<double> y = oracle::solve_lower(l, b);
   // Verify L y = b.
   const std::vector<double> ly = l.multiply(y);
   for (std::size_t i = 0; i < 3; ++i) EXPECT_NEAR(ly[i], b[i], 1e-12);
-  const std::vector<double> z = solve_lower_transpose(l, b);
+  const std::vector<double> z = oracle::solve_lower_transpose(l, b);
   const std::vector<double> ltz = l.transposed().multiply(z);
   for (std::size_t i = 0; i < 3; ++i) EXPECT_NEAR(ltz[i], b[i], 1e-12);
 }
@@ -201,7 +205,7 @@ TEST(CholeskyFactor, SingleElementEdgeCase) {
 TEST(CholeskyFactor, FactorizeMatchesFreeCholeskyBitForBit) {
   for (const std::size_t n : {1u, 2u, 5u, 17u, 40u}) {
     const Matrix a = random_spd(n, 90 + static_cast<unsigned>(n));
-    const Matrix reference = cholesky(a);
+    const Matrix reference = oracle::cholesky(a);
     const CholeskyFactor f = CholeskyFactor::factorize(a);
     ASSERT_EQ(f.size(), n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -210,7 +214,7 @@ TEST(CholeskyFactor, FactorizeMatchesFreeCholeskyBitForBit) {
       }
       for (std::size_t j = i + 1; j < n; ++j) EXPECT_DOUBLE_EQ(f.at(i, j), 0.0);
     }
-    EXPECT_TRUE(same_bits(f.log_det(), log_det_from_cholesky(reference)));
+    EXPECT_TRUE(same_bits(f.log_det(), oracle::log_det_from_cholesky(reference)));
   }
 }
 
@@ -231,7 +235,7 @@ TEST(CholeskyFactor, ExtendEqualsFullFactorizationBitForBit) {
     for (std::size_t r = 0; r < n; ++r) {
       for (std::size_t c = 0; c < n; ++c) leading(r, c) = a(r, c);
     }
-    const Matrix reference = cholesky(leading);
+    const Matrix reference = oracle::cholesky(leading);
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = 0; j <= i; ++j) {
         ASSERT_TRUE(same_bits(incremental.at(i, j), reference(i, j)))
@@ -255,7 +259,7 @@ TEST(CholeskyFactor, BlockedSolveLowerMatchesScalarOracleBitForBit) {
     std::vector<double> b(n);
     for (double& v : b) v = gauss(rng);
     const std::vector<double> blocked = f.solve_lower(b);
-    const std::vector<double> reference = f.solve_lower_reference(b);
+    const std::vector<double> reference = oracle::solve_lower_reference(f, b);
     ASSERT_EQ(blocked.size(), reference.size());
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_TRUE(same_bits(blocked[i], reference[i])) << "n=" << n << " i=" << i;
@@ -263,10 +267,105 @@ TEST(CholeskyFactor, BlockedSolveLowerMatchesScalarOracleBitForBit) {
   }
 }
 
+TEST(CholeskyFactor, SolveLowerManyMatchesPerColumnSolvesBitForBit) {
+  // Four right-hand sides per pass over 4-row panels: every column must be
+  // the scalar forward substitution of that column alone, for every factor
+  // size mod 4 and every right-hand-side count mod 4, and columns past
+  // `count` (when ld > count) must stay untouched.
+  for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 13u, 30u}) {
+    const CholeskyFactor f =
+        CholeskyFactor::factorize(random_spd(n, 800 + static_cast<unsigned>(n)));
+    for (const std::size_t count : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u}) {
+      for (const std::size_t ld : {count, count + 3}) {
+        std::mt19937_64 rng(900 + 16 * n + count);
+        std::normal_distribution<double> gauss(0.0, 1.0);
+        std::vector<double> b(n * ld);
+        for (double& v : b) v = gauss(rng);
+        std::vector<double> x = b;
+        f.solve_lower_many(x.data(), ld, count);
+        for (std::size_t q = 0; q < ld; ++q) {
+          std::vector<double> column(n);
+          for (std::size_t t = 0; t < n; ++t) column[t] = b[t * ld + q];
+          const std::vector<double> expected =
+              q < count ? oracle::solve_lower_reference(f, column) : column;
+          for (std::size_t t = 0; t < n; ++t) {
+            ASSERT_TRUE(same_bits(x[t * ld + q], expected[t]))
+                << "n=" << n << " count=" << count << " ld=" << ld << " q=" << q
+                << " t=" << t;
+          }
+        }
+      }
+    }
+  }
+  const CholeskyFactor f = CholeskyFactor::factorize(Matrix::identity(3));
+  std::vector<double> b(6);
+  EXPECT_THROW(f.solve_lower_many(b.data(), 1, 2), std::invalid_argument);
+}
+
+TEST(CholeskyFactor, BlockedFactorizeMatchesExtendsOnEveryElement) {
+  // factorize() settles four rows per block; it must equal the factor built
+  // by n successive extends (and the dense column-oriented oracle) on every
+  // element, for every size mod 4.
+  for (std::size_t n = 1; n <= 13; ++n) {
+    for (const std::size_t size : {n, n + 51}) {
+      const Matrix a = random_spd(size, 1300 + static_cast<unsigned>(size));
+      std::size_t failed_row = 0;
+      const CholeskyFactor extends = oracle::factorize_by_extends(a, failed_row);
+      ASSERT_EQ(failed_row, size);
+      const Matrix dense = oracle::cholesky(a);
+      const CholeskyFactor blocked = CholeskyFactor::factorize(a);
+      ASSERT_EQ(blocked.size(), size);
+      for (std::size_t i = 0; i < size; ++i) {
+        for (std::size_t j = 0; j < size; ++j) {
+          ASSERT_TRUE(same_bits(blocked.at(i, j), extends.at(i, j)))
+              << "size=" << size << " (" << i << "," << j << ")";
+          ASSERT_TRUE(same_bits(blocked.at(i, j), dense(i, j)))
+              << "size=" << size << " (" << i << "," << j << ")";
+        }
+      }
+    }
+  }
+}
+
+TEST(CholeskyFactor, BlockedFactorizeFailsOnTheRowExtendsFailsOn) {
+  // A matrix whose row r breaks positive definiteness (a negative diagonal,
+  // or a NaN left of it) must make factorize() throw exactly when n extends
+  // stop at row r, whatever r's position inside its four-row block; the
+  // rows before r still factorize to the extends factor.
+  for (const std::size_t n : {5u, 8u, 11u}) {
+    for (std::size_t r = 0; r < n; ++r) {
+      for (const bool use_nan : {false, true}) {
+        if (use_nan && r == 0) continue;
+        Matrix a = random_spd(n, 1500 + static_cast<unsigned>(n));
+        if (use_nan) {
+          a(r, r - 1) = std::nan("");
+        } else {
+          a(r, r) = -1.0;
+        }
+        std::size_t failed_row = 0;
+        const CholeskyFactor extends = oracle::factorize_by_extends(a, failed_row);
+        ASSERT_EQ(failed_row, r) << "n=" << n << " r=" << r;
+        EXPECT_THROW(CholeskyFactor::factorize(a), std::domain_error) << "n=" << n << " r=" << r;
+        Matrix leading(r, r);
+        for (std::size_t i = 0; i < r; ++i) {
+          for (std::size_t j = 0; j < r; ++j) leading(i, j) = a(i, j);
+        }
+        const CholeskyFactor blocked = CholeskyFactor::factorize(leading);
+        for (std::size_t i = 0; i < r; ++i) {
+          for (std::size_t j = 0; j <= i; ++j) {
+            ASSERT_TRUE(same_bits(blocked.at(i, j), extends.at(i, j)))
+                << "n=" << n << " r=" << r << " (" << i << "," << j << ")";
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(CholeskyFactor, SolvesMatchFreeFunctions) {
   const std::size_t n = 12;
   const Matrix a = random_spd(n, 77);
-  const Matrix l = cholesky(a);
+  const Matrix l = oracle::cholesky(a);
   const CholeskyFactor f = CholeskyFactor::factorize(a);
   std::mt19937_64 rng(7);
   std::normal_distribution<double> gauss(0.0, 1.0);
@@ -274,11 +373,11 @@ TEST(CholeskyFactor, SolvesMatchFreeFunctions) {
   for (double& v : b) v = gauss(rng);
 
   const std::vector<double> fwd = f.solve_lower(b);
-  const std::vector<double> fwd_ref = solve_lower(l, b);
+  const std::vector<double> fwd_ref = oracle::solve_lower(l, b);
   const std::vector<double> bwd = f.solve_lower_transpose(b);
-  const std::vector<double> bwd_ref = solve_lower_transpose(l, b);
+  const std::vector<double> bwd_ref = oracle::solve_lower_transpose(l, b);
   const std::vector<double> full = f.solve(b);
-  const std::vector<double> full_ref = cholesky_solve(l, b);
+  const std::vector<double> full_ref = oracle::cholesky_solve(l, b);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_TRUE(same_bits(fwd[i], fwd_ref[i]));
     EXPECT_TRUE(same_bits(bwd[i], bwd_ref[i]));
