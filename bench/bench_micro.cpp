@@ -270,7 +270,7 @@ void BM_GramRow(benchmark::State& state) {
   }
   std::vector<double> z(23);
   for (double& v : z) v = unit(rng);
-  const opt::Matern52Kernel kernel(1.0, 0.5);
+  const opt::Kernel kernel(opt::KernelFamily::kMatern52, 1.0, 0.5);
   std::vector<double> out(n);
   for (auto _ : state) {
     kernel.cross_into(xs, z, out.data());

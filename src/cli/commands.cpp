@@ -203,8 +203,6 @@ struct Rig {
   }
 };
 
-}  // namespace
-
 int cmd_evaluate(const Args& args) {
   args.expect_known({"arch", "tu", "tech", "rtt", "device", "summary", "threads", "tiers",
                      "fog-device", "hop-bw"});
@@ -796,7 +794,7 @@ int cmd_help() {
       "                                       is bit-identical to an uninterrupted\n"
       "                                       run with the same config\n"
       "  thresholds  runtime switching thresholds for a preset model\n"
-      "              --arch ... --metric latency|energy\n"
+      "              --arch ... --metric latency|energy [--save table.txt]\n"
       "  simulate    serving simulation under Poisson load\n"
       "              --rate HZ --duration S --policy queue-aware|dynamic|\n"
       "              best-latency|all-edge [--deadline MS]\n"
@@ -813,6 +811,11 @@ int cmd_help() {
       "              [--cloud-machines N] finite cloud: admission control +\n"
       "                [--cloud-capacity MS_PER_S] [--cloud-policy greedy|energy]\n"
       "                [--admit-util F] [--sla MS] [--brownout START,DUR,DEPTH]\n"
+      "              --tiers 3 only: regional failure domains\n"
+      "                [--regions R] [--fog-machines M]  R regions, each with a\n"
+      "                finite fog site of M machines\n"
+      "                [--region-brownout REGION,START,DUR,DEPTH]  scripted\n"
+      "                backhaul brownout in one region (DEPTH in (0,1))\n"
       "  cloud       duel the placement policies on one finite pool under a\n"
       "              scripted regional brownout (greedy vs energy best-fit)\n"
       "              --devices N --steps N --machines N [--capacity MS_PER_S]\n"
@@ -830,6 +833,8 @@ int cmd_help() {
       "                per hop; replaces --tu; default backhaul = 10x radio)\n");
   return 0;
 }
+
+}  // namespace
 
 int run_command(const Args& args) {
   try {

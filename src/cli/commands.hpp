@@ -6,18 +6,9 @@
 
 namespace lens::cli {
 
-/// Dispatch a parsed command line. Returns a process exit code; prints
-/// human-readable results to stdout and errors to stderr.
+/// Dispatch a parsed command line to its subcommand (evaluate, search,
+/// thresholds, simulate, faults, fleet, cloud, help). Returns a process exit
+/// code; prints human-readable results to stdout and errors to stderr.
 int run_command(const Args& args);
-
-// Individual subcommands (exposed for tests).
-int cmd_evaluate(const Args& args);    ///< deployment options of a preset model
-int cmd_search(const Args& args);      ///< run a LENS / Traditional search
-int cmd_thresholds(const Args& args);  ///< runtime switching thresholds
-int cmd_simulate(const Args& args);    ///< serving simulation under load
-int cmd_faults(const Args& args);      ///< fault pricing + degraded serving
-int cmd_fleet(const Args& args);       ///< fleet-scale SoA serving simulation
-int cmd_cloud(const Args& args);       ///< finite-cloud placement-policy duel
-int cmd_help();
 
 }  // namespace lens::cli

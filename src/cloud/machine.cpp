@@ -100,16 +100,6 @@ double MachinePool::service_hz(double job_ms, double brownout_factor) const {
   return config_.machine.capacity_ms_per_s * factor / effective_job_ms(job_ms);
 }
 
-QueueMetrics MachinePool::queue_metrics(double arrival_hz, double job_ms,
-                                        double brownout_factor) const {
-  const double mu = service_hz(job_ms, brownout_factor);
-  if (mu <= 0.0) {
-    throw std::invalid_argument(
-        "MachinePool::queue_metrics: no service capacity");
-  }
-  return mm1k_metrics(arrival_hz, mu, config_.machine.queue_slots);
-}
-
 double MachinePool::machine_power_w(double utilization) const {
   const double u = std::clamp(utilization, 0.0, 1.0);
   return config_.machine.idle_w +

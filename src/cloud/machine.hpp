@@ -100,10 +100,6 @@ class MachinePool {
   /// brownout capacity factor in [0, 1]. Zero when the factor is zero.
   double service_hz(double job_ms, double brownout_factor = 1.0) const;
 
-  /// Steady-state queue metrics of one machine fed at `arrival_hz`.
-  QueueMetrics queue_metrics(double arrival_hz, double job_ms,
-                             double brownout_factor = 1.0) const;
-
   /// Electrical draw of one powered machine at utilization u in [0, 1]
   /// (linear idle->active interpolation). Powered-off machines draw 0.
   double machine_power_w(double utilization) const;

@@ -44,25 +44,22 @@ double lml_of(const std::vector<double>& y, const std::vector<double>& alpha, do
   const double n = static_cast<double>(y.size());
   return -0.5 * dot(y, alpha) - 0.5 * log_det - 0.5 * n * std::log(2.0 * std::numbers::pi);
 }
+
+// m standard normals from a fresh distribution. Each draw constructs its
+// own: std::normal_distribution caches a second polar-method variate, so a
+// shared instance would consume the generator differently whenever m is odd.
+std::vector<double> standard_normals(std::size_t m, std::mt19937_64& rng) {
+  std::normal_distribution<double> gauss(0.0, 1.0);
+  std::vector<double> z(m);
+  for (double& v : z) v = gauss(rng);
+  return z;
+}
 }  // namespace
 
 GaussianProcess::GaussianProcess(GpConfig config)
     : config_(config),
-      kernel_(make_kernel(config.signal_variance, config.length_scale)),
+      kernel_(config.family, config.signal_variance, config.length_scale),
       noise_variance_(config.noise_variance) {}
-
-std::unique_ptr<Kernel> GaussianProcess::make_kernel(double signal_variance,
-                                                     double length_scale) const {
-  switch (config_.family) {
-    case KernelFamily::kRbf:
-      return std::make_unique<RbfKernel>(signal_variance, length_scale);
-    case KernelFamily::kMatern52:
-      return std::make_unique<Matern52Kernel>(signal_variance, length_scale);
-    case KernelFamily::kHamming:
-      return std::make_unique<HammingKernel>(signal_variance, length_scale);
-  }
-  throw std::logic_error("GaussianProcess: unknown kernel family");
-}
 
 void GaussianProcess::fit(std::vector<std::vector<double>> x, std::vector<double> y) {
   std::vector<std::vector<double>> ys;
@@ -91,11 +88,10 @@ std::vector<GaussianProcess> fit_objectives(const GpConfig& config,
   }
 
   // Every Gram matrix below depends on X only through its pair statistics.
-  const GaussianProcess& proto = gps.front();
-  const Matrix statistics = pair_statistics(proto.kernel_->statistic(), x, x);
+  const Matrix statistics = pair_statistics(gps.front().kernel_.statistic(), x, x);
   const std::vector<GridPoint> grid = hyperparameter_grid(config);
   const auto gram_at = [&](const GridPoint& p) {
-    Matrix k = proto.make_kernel(p.signal, p.length)->gram(statistics, dim);
+    Matrix k = Kernel(config.family, p.signal, p.length).gram(statistics, dim);
     k.add_diagonal(p.noise + 1e-9);
     return k;
   };
@@ -156,7 +152,7 @@ std::vector<GaussianProcess> fit_objectives(const GpConfig& config,
     GaussianProcess& gp = gps[k];
     const auto w = std::find(distinct.begin(), distinct.end(), winner[k]) - distinct.begin();
     const GridPoint& p = grid[winner[k]];
-    gp.kernel_ = gp.make_kernel(p.signal, p.length);
+    gp.kernel_ = Kernel(config.family, p.signal, p.length);
     gp.noise_variance_ = p.noise;
     gp.factor_ = factors[static_cast<std::size_t>(w)];
     gp.alpha_ = gp.factor_.solve(gp.y_normalized_);
@@ -205,7 +201,7 @@ void GaussianProcess::observe(std::vector<double> x, double y) {
   // Only the bordered Gram row is evaluated; extend() appends it to the
   // cached factor in O(n^2) or throws (leaving the model untouched) exactly
   // when a full refactorization of the bordered matrix would fail.
-  const Kernel::GramRow row = kernel_->gram_row(x_, x);
+  const Kernel::GramRow row = kernel_.gram_row(x_, x);
   factor_.extend(row.cross, row.self + (noise_variance_ + 1e-9));
   x_.push_back(std::move(x));
   y_.push_back(y);
@@ -216,46 +212,28 @@ void GaussianProcess::observe(std::vector<double> x, double y) {
 
 GaussianProcess::Prediction GaussianProcess::predict(const std::vector<double>& x) const {
   if (!is_fitted()) {
-    return {0.0, kernel_->variance()};
+    return {0.0, kernel_.variance()};
   }
-  const std::vector<double> k_star = kernel_->cross(x_, x);
+  const std::vector<double> k_star = kernel_.cross(x_, x);
   const double mean_n = dot(k_star, alpha_);
   const std::vector<double> v = factor_.solve_lower(k_star);
-  double var_n = kernel_->variance() - dot(v, v);
+  double var_n = kernel_.variance() - dot(v, v);
   var_n = std::max(var_n, 1e-12);
   return {y_mean_ + y_std_ * mean_n, y_std_ * y_std_ * var_n};
 }
 
 std::vector<double> GaussianProcess::sample_at(
     const std::vector<std::vector<double>>& xs, std::mt19937_64& rng) const {
-  std::normal_distribution<double> gauss(0.0, 1.0);
-  std::vector<double> z(xs.size());
-  for (double& v : z) v = gauss(rng);
-  return sample_with_noise(xs, z);
-}
-
-std::vector<double> GaussianProcess::sample_with_noise(
-    const std::vector<std::vector<double>>& xs, const std::vector<double>& z) const {
-  if (xs.size() != z.size()) {
-    throw std::invalid_argument("GaussianProcess::sample_with_noise: z size mismatch");
-  }
-  return draw({this}, xs, {z}).front();
+  return draw({this}, xs, {standard_normals(xs.size(), rng)}).front();
 }
 
 std::vector<std::vector<double>> sample_objectives_at(
     const std::vector<GaussianProcess>& gps, const std::vector<std::vector<double>>& xs,
     std::mt19937_64& rng) {
-  // Draw every objective's z vector serially in objective order — the exact
-  // generator consumption order of the per-objective sample_at loop. The
-  // distribution object is per-objective on purpose: sample_at constructs a
-  // fresh one, and std::normal_distribution caches a second polar-method
-  // variate, so a single shared instance would consume the generator
-  // differently whenever xs.size() is odd.
-  std::vector<std::vector<double>> z(gps.size(), std::vector<double>(xs.size()));
-  for (std::vector<double>& zk : z) {
-    std::normal_distribution<double> gauss(0.0, 1.0);
-    for (double& v : zk) v = gauss(rng);
-  }
+  // Every objective's z vector is drawn serially in objective order — the
+  // exact generator consumption order of the per-objective sample_at loop.
+  std::vector<std::vector<double>> z;
+  for (std::size_t k = 0; k < gps.size(); ++k) z.push_back(standard_normals(xs.size(), rng));
   std::vector<const GaussianProcess*> models;
   for (const GaussianProcess& gp : gps) models.push_back(&gp);
   return GaussianProcess::draw(models, xs, z);
@@ -282,7 +260,7 @@ std::vector<std::vector<double>> GaussianProcess::draw(
   std::vector<std::size_t> group_of(num);
   for (std::size_t k = 0; k < num; ++k) {
     const GaussianProcess& gp = *models[k];
-    const PairStatistic statistic = gp.kernel_->statistic();
+    const PairStatistic statistic = gp.kernel_.statistic();
     std::size_t g = 0;
     while (g < groups.size() && !(groups[g].statistic == statistic && *groups[g].x == gp.x_)) ++g;
     if (g == groups.size()) groups.push_back({statistic, &gp.x_, {}, {}});
@@ -314,7 +292,7 @@ std::vector<std::vector<double>> GaussianProcess::draw(
     std::vector<double>& v = panels[idx];
     v.assign(4 * n, 0.0);
     for (std::size_t t = 0; t < n; ++t) {
-      gp.kernel_->values(cross.row_data(t) + i0, width, dim, &v[4 * t]);
+      gp.kernel_.values(cross.row_data(t) + i0, width, dim, &v[4 * t]);
     }
     double acc[4] = {0.0, 0.0, 0.0, 0.0};
     for (std::size_t t = 0; t < n; ++t) {
@@ -353,7 +331,7 @@ std::vector<std::vector<double>> GaussianProcess::draw(
       const std::size_t width = std::min<std::size_t>(4, m - j0);
       for (std::size_t p = 0; p < 4 && i0 + p < m; ++p) {
         double k_ij[4] = {};
-        gp.kernel_->values(pool.row_data(i0 + p) + j0, width, dim, k_ij);
+        gp.kernel_.values(pool.row_data(i0 + p) + j0, width, dim, k_ij);
         for (std::size_t q = 0; q < width; ++q) {
           const double c = k_ij[q] - acc[p][q / 2][q % 2];
           cov[k](i0 + p, j0 + q) = c;
@@ -368,7 +346,7 @@ std::vector<std::vector<double>> GaussianProcess::draw(
   std::vector<std::vector<double>> out(num);
   par::parallel_for(num, [&](std::size_t k) {
     const GaussianProcess& gp = *models[k];
-    if (!gp.is_fitted()) cov[k] = gp.kernel_->gram(groups[group_of[k]].pool, dim);
+    if (!gp.is_fitted()) cov[k] = gp.kernel_.gram(groups[group_of[k]].pool, dim);
     out[k] = gp.finish_draw(cov[k], mean[k], z[k]);
   });
   return out;

@@ -4,7 +4,6 @@
 // used by the MOBO engine, paper Alg. 2 line 9: f_k = GP_k(D)).
 
 #include <cstddef>
-#include <memory>
 #include <random>
 #include <vector>
 
@@ -12,9 +11,6 @@
 #include "opt/matrix.hpp"
 
 namespace lens::opt {
-
-/// Kernel family selector for GpConfig.
-enum class KernelFamily { kRbf, kMatern52, kHamming };
 
 /// The tuned hyper-parameter triple of a fitted GP — everything the
 /// checkpoint subsystem needs to persist besides the raw observations,
@@ -89,20 +85,14 @@ class GaussianProcess {
   std::vector<double> sample_at(const std::vector<std::vector<double>>& xs,
                                 std::mt19937_64& rng) const;
 
-  /// sample_at with the standard-normal vector pre-drawn by the caller
-  /// (`z.size() == xs.size()`). sample_at(xs, rng) is exactly: draw z from
-  /// rng, then sample_with_noise(xs, z).
-  std::vector<double> sample_with_noise(const std::vector<std::vector<double>>& xs,
-                                        const std::vector<double>& z) const;
-
   /// Log marginal likelihood of the current fit (normalized-unit targets).
   double log_marginal_likelihood() const { return log_marginal_likelihood_; }
 
   /// Posterior weights (K + noise I)^{-1} y of the fit (normalized targets).
   const std::vector<double>& alpha() const { return alpha_; }
 
-  double signal_variance() const { return kernel_->signal_variance(); }
-  double length_scale() const { return kernel_->length_scale(); }
+  double signal_variance() const { return kernel_.signal_variance(); }
+  double length_scale() const { return kernel_.length_scale(); }
   double noise_variance() const { return noise_variance_; }
 
   /// Export the current hyper-parameter triple (checkpointing).
@@ -121,13 +111,12 @@ class GaussianProcess {
                                        std::vector<double> y);
 
  private:
-  std::unique_ptr<Kernel> make_kernel(double signal_variance, double length_scale) const;
   /// Recompute y_mean_/y_std_/y_normalized_ from the raw targets, in the
   /// exact summation order every fit uses (bit-identity with observe()).
   void standardize_targets();
   /// Joint posterior draws of several models over one query block from
   /// pre-drawn standard-normal vectors (z[k] for models[k]): the single
-  /// draw path behind sample_with_noise and sample_objectives_at.
+  /// draw path behind sample_at and sample_objectives_at.
   static std::vector<std::vector<double>> draw(
       const std::vector<const GaussianProcess*>& models,
       const std::vector<std::vector<double>>& xs, const std::vector<std::vector<double>>& z);
@@ -144,7 +133,7 @@ class GaussianProcess {
       std::mt19937_64& rng);
 
   GpConfig config_;
-  std::unique_ptr<Kernel> kernel_;
+  Kernel kernel_;
   double noise_variance_ = 1e-3;
 
   std::vector<std::vector<double>> x_;

@@ -68,12 +68,6 @@ void statistic_row(PairStatistic statistic, const std::vector<std::vector<double
     statistic_row<SquaredDistanceTerm>(xs, z, out);
   }
 }
-
-void check_params(double signal_variance, double length_scale) {
-  if (signal_variance <= 0.0 || length_scale <= 0.0) {
-    throw std::invalid_argument("kernel: hyper-parameters must be positive");
-  }
-}
 }  // namespace
 
 std::size_t hamming_distance(const std::vector<double>& x, const std::vector<double>& y,
@@ -101,6 +95,44 @@ Matrix pair_statistics(PairStatistic statistic, const std::vector<std::vector<do
     statistic_row(statistic, xs, queries[q], &out(q, 0));
   });
   return out;
+}
+
+Kernel::Kernel(KernelFamily family, double signal_variance, double length_scale)
+    : family_(family), signal_variance_(signal_variance), length_scale_(length_scale) {
+  if (family != KernelFamily::kRbf && family != KernelFamily::kMatern52 &&
+      family != KernelFamily::kHamming) {
+    throw std::invalid_argument("kernel: unknown family");
+  }
+  if (signal_variance <= 0.0 || length_scale <= 0.0) {
+    throw std::invalid_argument("kernel: hyper-parameters must be positive");
+  }
+}
+
+void Kernel::values(const double* statistics, std::size_t count, std::size_t dim,
+                    double* out) const {
+  switch (family_) {
+    case KernelFamily::kRbf: {
+      const double ll = length_scale_ * length_scale_;
+      for (std::size_t i = 0; i < count; ++i) {
+        out[i] = signal_variance_ * std::exp(-0.5 * statistics[i] / ll);
+      }
+      return;
+    }
+    case KernelFamily::kMatern52:
+      for (std::size_t i = 0; i < count; ++i) {
+        const double r = std::sqrt(statistics[i]);
+        const double s = std::sqrt(5.0) * r / length_scale_;
+        out[i] = signal_variance_ * (1.0 + s + s * s / 3.0) * std::exp(-s);
+      }
+      return;
+    case KernelFamily::kHamming: {
+      const double denom = length_scale_ * std::max(static_cast<double>(dim), 1.0);
+      for (std::size_t i = 0; i < count; ++i) {
+        out[i] = signal_variance_ * std::exp(-statistics[i] / denom);
+      }
+      return;
+    }
+  }
 }
 
 double Kernel::operator()(const std::vector<double>& x, const std::vector<double>& y) const {
@@ -142,64 +174,6 @@ void Kernel::cross_into(const std::vector<std::vector<double>>& xs,
 Kernel::GramRow Kernel::gram_row(const std::vector<std::vector<double>>& xs,
                                  const std::vector<double>& z) const {
   return {cross(xs, z), (*this)(z, z)};
-}
-
-// The families' formulas. Each reads statistics[i] before writing out[i],
-// so cross_into() may evaluate in place.
-
-RbfKernel::RbfKernel(double signal_variance, double length_scale)
-    : signal_variance_(signal_variance), length_scale_(length_scale) {
-  check_params(signal_variance, length_scale);
-}
-
-void RbfKernel::values(const double* statistics, std::size_t count, std::size_t,
-                       double* out) const {
-  const double ll = length_scale_ * length_scale_;
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i] = signal_variance_ * std::exp(-0.5 * statistics[i] / ll);
-  }
-}
-
-std::unique_ptr<Kernel> RbfKernel::with_params(double signal_variance,
-                                               double length_scale) const {
-  return std::make_unique<RbfKernel>(signal_variance, length_scale);
-}
-
-Matern52Kernel::Matern52Kernel(double signal_variance, double length_scale)
-    : signal_variance_(signal_variance), length_scale_(length_scale) {
-  check_params(signal_variance, length_scale);
-}
-
-void Matern52Kernel::values(const double* statistics, std::size_t count, std::size_t,
-                            double* out) const {
-  for (std::size_t i = 0; i < count; ++i) {
-    const double r = std::sqrt(statistics[i]);
-    const double s = std::sqrt(5.0) * r / length_scale_;
-    out[i] = signal_variance_ * (1.0 + s + s * s / 3.0) * std::exp(-s);
-  }
-}
-
-std::unique_ptr<Kernel> Matern52Kernel::with_params(double signal_variance,
-                                                    double length_scale) const {
-  return std::make_unique<Matern52Kernel>(signal_variance, length_scale);
-}
-
-HammingKernel::HammingKernel(double signal_variance, double length_scale)
-    : signal_variance_(signal_variance), length_scale_(length_scale) {
-  check_params(signal_variance, length_scale);
-}
-
-void HammingKernel::values(const double* statistics, std::size_t count, std::size_t dim,
-                           double* out) const {
-  const double denom = length_scale_ * std::max(static_cast<double>(dim), 1.0);
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i] = signal_variance_ * std::exp(-statistics[i] / denom);
-  }
-}
-
-std::unique_ptr<Kernel> HammingKernel::with_params(double signal_variance,
-                                                   double length_scale) const {
-  return std::make_unique<HammingKernel>(signal_variance, length_scale);
 }
 
 }  // namespace lens::opt

@@ -9,7 +9,6 @@
 // length_scale) setting GaussianProcess tunes by marginal likelihood.
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "opt/matrix.hpp"
@@ -28,32 +27,47 @@ enum class PairStatistic { kSquaredDistance, kHammingCount };
 Matrix pair_statistics(PairStatistic statistic, const std::vector<std::vector<double>>& xs,
                        const std::vector<std::vector<double>>& queries);
 
-/// Interface for a positive-definite covariance kernel k(x, y).
+/// Kernel family selector.
+///   kRbf:      k = s^2 * exp(-r^2 / (2 l^2))
+///   kMatern52: k = s^2 * (1 + sqrt(5) r / l + 5 r^2 / (3 l^2)) * exp(-sqrt(5) r / l),
+///              the default for architecture-distance modelling (less smooth
+///              than RBF, which suits discrete genotype spaces better)
+///   kHamming:  k = s^2 * exp(-H / (l * d)), where H is the count of
+///              coordinates differing by more than 1e-9 and d the dimension;
+///              for genotype coordinates that are categories (kernel size,
+///              filter count index) rather than points on a metric axis
+/// with r the Euclidean distance, s^2 the signal variance and l the length
+/// scale.
+enum class KernelFamily { kRbf, kMatern52, kHamming };
+
+/// A positive-definite covariance kernel k(x, y): one family's formula at
+/// one (signal variance, length scale) setting.
 class Kernel {
  public:
-  virtual ~Kernel() = default;
+  /// Throws std::invalid_argument on an unknown family or a non-positive
+  /// hyper-parameter.
+  Kernel(KernelFamily family, double signal_variance, double length_scale);
 
   /// The pair statistic this kernel is a function of.
-  virtual PairStatistic statistic() const = 0;
+  PairStatistic statistic() const {
+    return family_ == KernelFamily::kHamming ? PairStatistic::kHammingCount
+                                             : PairStatistic::kSquaredDistance;
+  }
 
   /// The family's formula: out[i] = k as a function of statistics[i], the
   /// pair statistic of two `dim`-dimensional points. operator(), gram(),
-  /// cross_into() and gram_row() all evaluate the kernel through here.
-  virtual void values(const double* statistics, std::size_t count, std::size_t dim,
-                      double* out) const = 0;
+  /// cross_into() and gram_row() all evaluate the kernel through here. Each
+  /// statistics[i] is read before out[i] is written, so it may run in place.
+  void values(const double* statistics, std::size_t count, std::size_t dim,
+              double* out) const;
 
   /// Covariance between two points.
   double operator()(const std::vector<double>& x, const std::vector<double>& y) const;
 
   /// Signal variance k(x, x).
-  virtual double variance() const = 0;
-
-  /// Clone with new hyper-parameters (used during hyper-parameter search).
-  virtual std::unique_ptr<Kernel> with_params(double signal_variance,
-                                              double length_scale) const = 0;
-
-  virtual double signal_variance() const = 0;
-  virtual double length_scale() const = 0;
+  double variance() const { return signal_variance_; }
+  double signal_variance() const { return signal_variance_; }
+  double length_scale() const { return length_scale_; }
 
   /// Gram matrix K where K_ij = k(X_i, X_j).
   Matrix gram(const std::vector<std::vector<double>>& xs) const;
@@ -84,69 +98,9 @@ class Kernel {
   };
   GramRow gram_row(const std::vector<std::vector<double>>& xs,
                    const std::vector<double>& z) const;
-};
-
-/// Squared-exponential (RBF) kernel:
-///   k(x,y) = s^2 * exp(-||x-y||^2 / (2 l^2))
-class RbfKernel final : public Kernel {
- public:
-  RbfKernel(double signal_variance, double length_scale);
-
-  PairStatistic statistic() const override { return PairStatistic::kSquaredDistance; }
-  void values(const double* statistics, std::size_t count, std::size_t dim,
-              double* out) const override;
-  double variance() const override { return signal_variance_; }
-  std::unique_ptr<Kernel> with_params(double signal_variance,
-                                      double length_scale) const override;
-  double signal_variance() const override { return signal_variance_; }
-  double length_scale() const override { return length_scale_; }
 
  private:
-  double signal_variance_;
-  double length_scale_;
-};
-
-/// Matern-5/2 kernel:
-///   k(x,y) = s^2 * (1 + sqrt(5) r / l + 5 r^2 / (3 l^2)) * exp(-sqrt(5) r / l)
-/// The default for architecture-distance modelling (less smooth than RBF,
-/// which suits discrete genotype spaces better).
-class Matern52Kernel final : public Kernel {
- public:
-  Matern52Kernel(double signal_variance, double length_scale);
-
-  PairStatistic statistic() const override { return PairStatistic::kSquaredDistance; }
-  void values(const double* statistics, std::size_t count, std::size_t dim,
-              double* out) const override;
-  double variance() const override { return signal_variance_; }
-  std::unique_ptr<Kernel> with_params(double signal_variance,
-                                      double length_scale) const override;
-  double signal_variance() const override { return signal_variance_; }
-  double length_scale() const override { return length_scale_; }
-
- private:
-  double signal_variance_;
-  double length_scale_;
-};
-
-/// Exponentiated-Hamming kernel for categorical encodings:
-///   k(x,y) = s^2 * exp(-H(x,y) / (l * d))
-/// where H is the count of differing coordinates (tolerance 1e-9) and d the
-/// dimensionality. Appropriate when genotype coordinates are categories
-/// (kernel size, filter count index) rather than points on a metric axis.
-class HammingKernel final : public Kernel {
- public:
-  HammingKernel(double signal_variance, double length_scale);
-
-  PairStatistic statistic() const override { return PairStatistic::kHammingCount; }
-  void values(const double* statistics, std::size_t count, std::size_t dim,
-              double* out) const override;
-  double variance() const override { return signal_variance_; }
-  std::unique_ptr<Kernel> with_params(double signal_variance,
-                                      double length_scale) const override;
-  double signal_variance() const override { return signal_variance_; }
-  double length_scale() const override { return length_scale_; }
-
- private:
+  KernelFamily family_;
   double signal_variance_;
   double length_scale_;
 };

@@ -77,13 +77,6 @@ void Matrix::add_diagonal(double value) {
   for (std::size_t i = 0; i < n; ++i) (*this)(i, i) += value;
 }
 
-std::vector<double> Matrix::row(std::size_t r) const {
-  if (r >= rows_) throw std::out_of_range("Matrix::row: index out of range");
-  std::vector<double> out(cols_);
-  for (std::size_t c = 0; c < cols_; ++c) out[c] = (*this)(r, c);
-  return out;
-}
-
 double Matrix::frobenius_norm() const {
   double acc = 0.0;
   for (double v : data_) acc += v * v;

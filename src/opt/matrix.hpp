@@ -63,9 +63,6 @@ class Matrix {
   /// Add `value` to every diagonal element (jitter / ridge term).
   void add_diagonal(double value);
 
-  /// Extract row r as a vector.
-  std::vector<double> row(std::size_t r) const;
-
   /// Frobenius norm.
   double frobenius_norm() const;
 
@@ -96,8 +93,8 @@ class Matrix {
 /// settles four rows at a time (one solve_lower_many() against the settled
 /// factor, then the in-block entries and pivots in ascending order), which
 /// keeps every chain and so matches n successive extends bit for bit. This
-/// is what lets the GP layer swap refit-per-iteration for incremental
-/// appends without perturbing search trajectories (see DESIGN.md "Posterior
+/// is what makes the GP layer's incremental appends and a checkpoint
+/// restore's frozen-hyper refit agree bit for bit (see DESIGN.md "Posterior
 /// maintenance").
 class CholeskyFactor {
  public:

@@ -17,7 +17,7 @@ std::string MoboSnapshot::serialize() const {
   out << kSnapshotMagic << '\n';
   out << "objectives " << num_objectives << '\n';
   out << "config " << num_initial << ' ' << num_iterations << ' ' << pool_size << ' '
-      << seed << ' ' << refit_period << ' ' << (incremental_posterior ? 1 : 0) << '\n';
+      << seed << ' ' << refit_period << " 1\n";
   out << "state " << evaluations_done << ' ' << iterations_since_refit << ' '
       << (models_ready ? 1 : 0) << '\n';
   out << "rng " << rng_state << '\n';
@@ -52,13 +52,13 @@ MoboSnapshot MoboSnapshot::deserialize(const std::string& payload) {
   if (!(in >> keyword >> snapshot.num_objectives) || keyword != "objectives") {
     fail("missing objectives line");
   }
-  int incremental = 0;
+  int posterior_mode = 0;
   if (!(in >> keyword >> snapshot.num_initial >> snapshot.num_iterations >>
-        snapshot.pool_size >> snapshot.seed >> snapshot.refit_period >> incremental) ||
+        snapshot.pool_size >> snapshot.seed >> snapshot.refit_period >> posterior_mode) ||
       keyword != "config") {
     fail("missing config line");
   }
-  snapshot.incremental_posterior = incremental != 0;
+  if (posterior_mode != 1) fail("unsupported posterior mode in config line (expected 1)");
   int models_ready = 0;
   if (!(in >> keyword >> snapshot.evaluations_done >> snapshot.iterations_since_refit >>
         models_ready) ||
@@ -130,11 +130,15 @@ void MoboEngine::record_observation(const std::vector<double>& x, std::vector<do
   if (y.size() != num_objectives_) {
     throw std::runtime_error("MoboEngine: objective callback returned wrong arity");
   }
-  normalizer_.observe(y);
-  front_.insert(history_.size(), y);
-  seen_.insert(x);
-  history_.push_back({x, std::move(y)});
+  append({x, std::move(y)});
   if (progress_) progress_(history_.size() - 1, history_.back());
+}
+
+void MoboEngine::append(Observation observation) {
+  normalizer_.observe(observation.objectives);
+  front_.insert(history_.size(), observation.objectives);
+  seen_.insert(observation.x);
+  history_.push_back(std::move(observation));
 }
 
 void MoboEngine::evaluate_and_record(const std::vector<double>& x) {
@@ -155,7 +159,8 @@ void MoboEngine::evaluate_batch(const std::vector<std::vector<double>>& xs) {
   }
 }
 
-void MoboEngine::refit_models(bool tune_hyperparameters) {
+std::pair<std::vector<std::vector<double>>, std::vector<std::vector<double>>>
+MoboEngine::training_data() const {
   std::vector<std::vector<double>> xs;
   xs.reserve(history_.size());
   for (const Observation& o : history_) xs.push_back(o.x);
@@ -164,19 +169,14 @@ void MoboEngine::refit_models(bool tune_hyperparameters) {
     ys[k].reserve(history_.size());
     for (const Observation& o : history_) ys[k].push_back(o.objectives[k]);
   }
-  if (!tune_hyperparameters && models_ready_) {
-    // Reuse previously selected hyper-parameters; refactorize only. Same
-    // code path a checkpoint restore takes, so both are bit-identical to
-    // the incremental observe() chain.
-    for (std::size_t k = 0; k < num_objectives_; ++k) {
-      gps_[k] = GaussianProcess::from_snapshot(config_.gp, gps_[k].hyperparameters(), xs,
-                                               std::move(ys[k]));
-    }
-  } else {
-    // One grid search for every objective: the objectives share X, so each
-    // grid point's factorization serves all of them.
-    gps_ = fit_objectives(config_.gp, std::move(xs), std::move(ys));
-  }
+  return {std::move(xs), std::move(ys)};
+}
+
+void MoboEngine::refit_models() {
+  // The objectives share X, so each grid point's factorization serves all
+  // of them.
+  auto [xs, ys] = training_data();
+  gps_ = fit_objectives(config_.gp, std::move(xs), std::move(ys));
   models_ready_ = true;
 }
 
@@ -211,10 +211,7 @@ void MoboEngine::seed_observations(const std::vector<Observation>& observations)
     if (o.objectives.size() != num_objectives_) {
       throw std::invalid_argument("MoboEngine::seed_observations: wrong objective arity");
     }
-    normalizer_.observe(o.objectives);
-    front_.insert(history_.size(), o.objectives);
-    seen_.insert(o.x);
-    history_.push_back(o);
+    append(o);
     if (evaluations_done_ < config_.num_initial) ++evaluations_done_;
   }
 }
@@ -227,7 +224,6 @@ MoboSnapshot MoboEngine::snapshot() const {
   snapshot.pool_size = config_.pool_size;
   snapshot.seed = config_.seed;
   snapshot.refit_period = config_.refit_period;
-  snapshot.incremental_posterior = config_.incremental_posterior;
   snapshot.evaluations_done = evaluations_done_;
   snapshot.iterations_since_refit = iterations_since_refit_;
   snapshot.models_ready = models_ready_;
@@ -251,11 +247,10 @@ void MoboEngine::restore(const MoboSnapshot& snapshot) {
   }
   if (snapshot.num_initial != config_.num_initial ||
       snapshot.pool_size != config_.pool_size || snapshot.seed != config_.seed ||
-      snapshot.refit_period != config_.refit_period ||
-      snapshot.incremental_posterior != config_.incremental_posterior) {
+      snapshot.refit_period != config_.refit_period) {
     throw std::invalid_argument(
         "MoboEngine::restore: snapshot was taken under a different search "
-        "configuration (warm-up/pool/seed/refit/posterior-mode must match)");
+        "configuration (warm-up/pool/seed/refit must match)");
   }
   if (snapshot.evaluations_done > snapshot.history.size()) {
     throw std::invalid_argument("MoboEngine::restore: counter exceeds history");
@@ -280,15 +275,10 @@ void MoboEngine::restore(const MoboSnapshot& snapshot) {
     }
   }
 
-  // Replay the observations through the same recording path record_observation
-  // uses, rebuilding the normalizer, Pareto front and duplicate index with the
-  // identical floats the uninterrupted run held.
-  for (const Observation& o : snapshot.history) {
-    normalizer_.observe(o.objectives);
-    front_.insert(history_.size(), o.objectives);
-    seen_.insert(o.x);
-    history_.push_back(o);
-  }
+  // Replay the observations through append(), rebuilding the normalizer,
+  // Pareto front and duplicate index with the identical floats the
+  // uninterrupted run held.
+  for (const Observation& o : snapshot.history) append(o);
   evaluations_done_ = snapshot.evaluations_done;
   iterations_since_refit_ = snapshot.iterations_since_refit;
   models_ready_ = snapshot.models_ready;
@@ -296,15 +286,10 @@ void MoboEngine::restore(const MoboSnapshot& snapshot) {
   if (snapshot.models_ready) {
     // Frozen-hyper refit over the restored history: bit-identical to the
     // incremental posterior chain the snapshot interrupted.
-    std::vector<std::vector<double>> xs;
-    xs.reserve(history_.size());
-    for (const Observation& o : history_) xs.push_back(o.x);
+    auto [xs, ys] = training_data();
     for (std::size_t k = 0; k < num_objectives_; ++k) {
-      std::vector<double> ys;
-      ys.reserve(history_.size());
-      for (const Observation& o : history_) ys.push_back(o.objectives[k]);
       gps_[k] = GaussianProcess::from_snapshot(config_.gp, snapshot.gps[k], xs,
-                                               std::move(ys));
+                                               std::move(ys[k]));
     }
   }
 }
@@ -327,14 +312,13 @@ void MoboEngine::step(std::size_t n) {
       // Posterior maintenance ahead of the proposal: a full tuned refit
       // every refit_period iterations (O(n^3), hyper-parameter grid); in
       // between, the models already carry the latest observation via the
-      // O(n^2) incremental extension below — or, on the reference path,
-      // get rebuilt with frozen hyper-parameters. Both routes produce
-      // bit-identical posteriors (see DESIGN.md "Posterior maintenance").
+      // O(n^2) incremental extension below, bit-identical to a frozen-hyper
+      // refit such as restore() runs (see DESIGN.md "Posterior maintenance").
       const bool tune = !models_ready_ || iterations_since_refit_ >= config_.refit_period;
-      if (tune || !config_.incremental_posterior) refit_models(tune);
+      if (tune) refit_models();
       iterations_since_refit_ = tune ? 0 : iterations_since_refit_ + 1;
       evaluate_and_record(propose_next());
-      if (config_.incremental_posterior) extend_models(history_.back());
+      extend_models(history_.back());
       ++evaluations_done_;
       --n;
     }

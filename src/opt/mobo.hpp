@@ -11,6 +11,7 @@
 #include <functional>
 #include <random>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "opt/acquisition.hpp"
@@ -33,6 +34,10 @@ struct Observation {
 /// themselves are rebuilt by a frozen-hyper refit, which is bit-identical
 /// to the incremental chain). The config echo lets restore() reject a
 /// snapshot taken under a different search configuration.
+///
+/// The serialized `config` line ends in a posterior-mode field that is
+/// always 1, the incremental posterior (the engine's only mode); it keeps
+/// snapshot bytes stable, and deserialize() rejects any other value.
 struct MoboSnapshot {
   std::size_t num_objectives = 0;
   // -- config echo (validated on restore) --
@@ -41,7 +46,6 @@ struct MoboSnapshot {
   std::size_t pool_size = 0;
   unsigned seed = 0;
   std::size_t refit_period = 0;
-  bool incremental_posterior = true;
   // -- mutable engine state --
   std::size_t evaluations_done = 0;
   std::size_t iterations_since_refit = 0;
@@ -53,7 +57,8 @@ struct MoboSnapshot {
   /// Text payload with every double hex-encoded (bit-exact round trip).
   std::string serialize() const;
   /// Parses a serialize() payload; throws std::invalid_argument on any
-  /// structural defect (bad keyword, count mismatch, trailing garbage).
+  /// structural defect (bad keyword, count mismatch, trailing garbage, a
+  /// posterior-mode field other than 1).
   static MoboSnapshot deserialize(const std::string& payload);
 };
 
@@ -66,15 +71,8 @@ struct MoboConfig {
   AcquisitionConfig acquisition;
   /// Refit GP hyper-parameters every `refit_period` iterations (the tuned
   /// refit is the O(n^3) part; intermediate iterations extend the cached
-  /// posterior incrementally in O(n^2)).
+  /// posterior with GaussianProcess::observe() in O(n^2)).
   std::size_t refit_period = 10;
-  /// When true (default), intermediate iterations maintain the GP posteriors
-  /// via GaussianProcess::observe() — the O(n^2) bordered update. When
-  /// false, every iteration rebuilds the models with a full frozen-hyper
-  /// refit, the pre-incremental reference path; both paths produce
-  /// bit-identical search trajectories (regression-tested), so the flag
-  /// exists only as that test's oracle and as a kill switch.
-  bool incremental_posterior = true;
 };
 
 /// MOBO engine: Algorithm 2 of the paper.
@@ -120,7 +118,7 @@ class MoboEngine {
   /// hyper-parameters. Must be called before any step()/run()
   /// (std::logic_error otherwise); throws std::invalid_argument when the
   /// snapshot disagrees with this engine's configuration (objective count,
-  /// warm-up budget, pool size, seed, refit period, posterior mode).
+  /// warm-up budget, pool size, seed, refit period).
   void restore(const MoboSnapshot& snapshot);
 
   const std::vector<Observation>& history() const { return history_; }
@@ -142,10 +140,17 @@ class MoboEngine {
   /// Evaluate a batch (via batch_objectives_ when installed, else one by
   /// one) and record results in input order.
   void evaluate_batch(const std::vector<std::vector<double>>& xs);
-  /// Record an evaluated observation: normalizer, Pareto front, history,
-  /// duplicate index, progress hook — the single place history_ grows.
+  /// Record an evaluated observation: append() plus the progress hook.
   void record_observation(const std::vector<double>& x, std::vector<double> y);
-  void refit_models(bool tune_hyperparameters);
+  /// The single place history_ grows: normalizer, Pareto front, duplicate
+  /// index and history, for evaluated, seeded and restored observations.
+  void append(Observation observation);
+  /// The history as GP training data: the encoded points and one target
+  /// vector per objective.
+  std::pair<std::vector<std::vector<double>>, std::vector<std::vector<double>>>
+  training_data() const;
+  /// Tuned refit: one hyper-parameter grid search for every objective.
+  void refit_models();
   /// O(n^2) posterior append: feed one freshly recorded observation to every
   /// objective GP via GaussianProcess::observe().
   void extend_models(const Observation& observation);

@@ -186,10 +186,6 @@ class EdgeCloudSystem {
 
   const std::vector<RequestRecord>& records() const { return records_; }
 
-  /// Cheapest edge-only deployment option (no transmission), if the option
-  /// set has one — the forced-all-edge fallback target.
-  std::optional<std::size_t> edge_fallback_option() const { return fallback_option_; }
-
  private:
   std::size_t pick_option(double now_s, const TimeVaryingLink& link,
                           const ResourceTimeline& edge, const FaultInjector& faults) const;
@@ -214,6 +210,8 @@ class EdgeCloudSystem {
   SimConfig config_;
   std::vector<runtime::CostCurve> curves_;
   std::vector<RequestRecord> records_;
+  /// Cheapest edge-only deployment option (no transmission), if the option
+  /// set has one — the forced-all-edge fallback target.
   std::optional<std::size_t> fallback_option_;
   /// Does any option stop short of the last tier? (At K=2 this is exactly
   /// "an edge-only option exists".) Gates proactive cloud-down dispatch.

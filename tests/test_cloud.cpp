@@ -139,13 +139,13 @@ TEST(HammingKernel, CountsDifferingCoordinates) {
 }
 
 TEST(HammingKernel, BasicProperties) {
-  const opt::HammingKernel k(1.0, 0.5);
+  const opt::Kernel k(opt::KernelFamily::kHamming, 1.0, 0.5);
   EXPECT_DOUBLE_EQ(k({0.0, 1.0}, {0.0, 1.0}), 1.0);
   // More differing coordinates -> lower covariance.
   EXPECT_GT(k({0.0, 0.0, 0.0}, {1.0, 0.0, 0.0}), k({0.0, 0.0, 0.0}, {1.0, 1.0, 0.0}));
   // Symmetric.
   EXPECT_DOUBLE_EQ(k({0.0, 1.0}, {1.0, 1.0}), k({1.0, 1.0}, {0.0, 1.0}));
-  EXPECT_THROW(opt::HammingKernel(0.0, 1.0), std::invalid_argument);
+  EXPECT_THROW(opt::Kernel(opt::KernelFamily::kHamming, 0.0, 1.0), std::invalid_argument);
 }
 
 TEST(HammingKernel, GpFitsCategoricalStructure) {

@@ -216,7 +216,7 @@ std::vector<double> normals(std::size_t m, std::mt19937_64& rng) {
 }  // namespace oracle
 
 TEST(Kernel, RbfBasicProperties) {
-  const RbfKernel k(2.0, 0.5);
+  const Kernel k(KernelFamily::kRbf, 2.0, 0.5);
   EXPECT_DOUBLE_EQ(k({0.0}, {0.0}), 2.0);  // k(x,x) = signal variance
   EXPECT_DOUBLE_EQ(k.variance(), 2.0);
   // Symmetry and decay.
@@ -227,20 +227,28 @@ TEST(Kernel, RbfBasicProperties) {
 }
 
 TEST(Kernel, Matern52BasicProperties) {
-  const Matern52Kernel k(1.0, 1.0);
+  const Kernel k(KernelFamily::kMatern52, 1.0, 1.0);
   EXPECT_DOUBLE_EQ(k({0.0, 0.0}, {0.0, 0.0}), 1.0);
   EXPECT_GT(k({0.0}, {0.1}), k({0.0}, {0.5}));
   EXPECT_GT(k({0.0}, {0.5}), 0.0);
 }
 
 TEST(Kernel, RejectsNonPositiveHyperparameters) {
-  EXPECT_THROW(RbfKernel(0.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(RbfKernel(1.0, -1.0), std::invalid_argument);
-  EXPECT_THROW(Matern52Kernel(-2.0, 1.0), std::invalid_argument);
+  EXPECT_THROW(Kernel(KernelFamily::kRbf, 0.0, 1.0), std::invalid_argument);
+  EXPECT_THROW(Kernel(KernelFamily::kRbf, 1.0, -1.0), std::invalid_argument);
+  EXPECT_THROW(Kernel(KernelFamily::kMatern52, -2.0, 1.0), std::invalid_argument);
+}
+
+TEST(Kernel, RejectsUnknownFamily) {
+  const auto unknown = static_cast<KernelFamily>(7);
+  EXPECT_THROW(Kernel(unknown, 1.0, 0.5), std::invalid_argument);
+  GpConfig config;
+  config.family = unknown;
+  EXPECT_THROW(GaussianProcess{config}, std::invalid_argument);
 }
 
 TEST(Kernel, GramMatrixIsSymmetricWithVarianceDiagonal) {
-  const Matern52Kernel k(1.5, 0.7);
+  const Kernel k(KernelFamily::kMatern52, 1.5, 0.7);
   const std::vector<std::vector<double>> xs = {{0.0, 0.1}, {0.5, 0.5}, {0.9, 0.2}};
   const Matrix g = k.gram(xs);
   for (std::size_t i = 0; i < 3; ++i) {
@@ -272,9 +280,9 @@ TEST(Kernel, BlockedCrossIntoMatchesScalarOracleBitForBit) {
   // cross_into runs the blocked four-row statistic sweep, then the family's
   // formula; the oracle evaluates each pair from its distance. Sizes cover
   // every tail length mod 4, so both the blocked panels and the tail run.
-  const RbfKernel rbf(1.7, 0.6);
-  const Matern52Kernel matern(1.0, 0.4);
-  const HammingKernel hamming(2.0, 0.3);
+  const Kernel rbf(KernelFamily::kRbf, 1.7, 0.6);
+  const Kernel matern(KernelFamily::kMatern52, 1.0, 0.4);
+  const Kernel hamming(KernelFamily::kHamming, 2.0, 0.3);
   const std::vector<std::pair<const Kernel*, KernelFamily>> kernels = {
       {&rbf, KernelFamily::kRbf}, {&matern, KernelFamily::kMatern52},
       {&hamming, KernelFamily::kHamming}};
@@ -315,7 +323,7 @@ TEST(Kernel, PairStatisticsMatchScalarDistances) {
 TEST(Kernel, BlockedCrossIntoPropagatesDimensionMismatch) {
   // A mismatched row inside a blocked panel must surface the same exception
   // the scalar operator() raises, from the same (lowest) row.
-  const RbfKernel k(1.0, 0.5);
+  const Kernel k(KernelFamily::kRbf, 1.0, 0.5);
   std::vector<std::vector<double>> xs = random_rows(9, 5, 81);
   xs[5].push_back(0.25);  // wrong dimension mid-panel
   std::vector<double> out(xs.size());
@@ -324,7 +332,7 @@ TEST(Kernel, BlockedCrossIntoPropagatesDimensionMismatch) {
 }
 
 TEST(Kernel, GramRowMatchesPerElementOperatorBitForBit) {
-  const Matern52Kernel k(1.2, 0.5);
+  const Kernel k(KernelFamily::kMatern52, 1.2, 0.5);
   const std::vector<std::vector<double>> xs = random_rows(13, 6, 90);
   const std::vector<double> z = random_rows(1, 6, 91)[0];
   const Kernel::GramRow row = k.gram_row(xs, z);

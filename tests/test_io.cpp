@@ -412,7 +412,6 @@ TEST(MoboSnapshotTest, SerializeDeserializeRoundTrip) {
   EXPECT_EQ(back.pool_size, snapshot.pool_size);
   EXPECT_EQ(back.seed, snapshot.seed);
   EXPECT_EQ(back.refit_period, snapshot.refit_period);
-  EXPECT_EQ(back.incremental_posterior, snapshot.incremental_posterior);
   EXPECT_EQ(back.evaluations_done, snapshot.evaluations_done);
   EXPECT_EQ(back.iterations_since_refit, snapshot.iterations_since_refit);
   EXPECT_EQ(back.models_ready, snapshot.models_ready);
@@ -435,6 +434,27 @@ TEST(MoboSnapshotTest, DeserializeRejectsStructuralDefects) {
                std::invalid_argument);
   EXPECT_THROW(opt::MoboSnapshot::deserialize(payload.substr(0, payload.size() / 2)),
                std::invalid_argument);
+}
+
+TEST(MoboSnapshotTest, DeserializeRejectsAnotherPosteriorMode) {
+  // The config line's sixth field is always 1 (the incremental posterior);
+  // a snapshot carrying any other value is rejected by name.
+  const std::string payload = tiny_snapshot(2).serialize();
+  const std::size_t begin = payload.find("\nconfig ") + 1;
+  const std::size_t end = payload.find('\n', begin);
+  const std::string line = payload.substr(begin, end - begin);
+  ASSERT_EQ(line.substr(line.rfind(' ')), " 1");
+  for (const char* mode : {"0", "2"}) {
+    const std::string edited = payload.substr(0, end - 1) + mode + payload.substr(end);
+    try {
+      opt::MoboSnapshot::deserialize(edited);
+      ADD_FAILURE() << "posterior mode " << mode << " was accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("unsupported posterior mode"), std::string::npos)
+          << error.what();
+    }
+  }
+  EXPECT_NO_THROW(opt::MoboSnapshot::deserialize(payload));
 }
 
 TEST(MoboResume, ContinuationIsBitIdentical) {

@@ -223,16 +223,17 @@ TEST(Mobo, SurvivesExhaustedDiscreteSpace) {
 
 TEST(Mobo, IncrementalPosteriorMatchesReferenceBitForBit) {
   // The incremental O(n^2) posterior path (GaussianProcess::observe between
-  // tuned refits) must reproduce the pre-refactor refit-every-iteration
-  // engine exactly: same proposals, same history, same front — bit for bit.
-  auto run = [](bool incremental, std::size_t refit_period) {
+  // tuned refits) must reproduce a refit-every-iteration engine exactly:
+  // same proposals, same history, same front — bit for bit. The reference
+  // restores the previous step's snapshot into a fresh engine before every
+  // step, and restore() rebuilds each posterior with a frozen-hyper refit.
+  auto make = [](std::size_t refit_period) {
     MoboConfig config;
     config.num_initial = 6;
     config.num_iterations = 14;
     config.pool_size = 48;
     config.seed = 9;
     config.refit_period = refit_period;
-    config.incremental_posterior = incremental;
     auto sampler = [](std::mt19937_64& rng) {
       std::uniform_real_distribution<double> u(0.0, 1.0);
       return std::vector<double>{u(rng), u(rng), u(rng)};
@@ -242,14 +243,19 @@ TEST(Mobo, IncrementalPosteriorMatchesReferenceBitForBit) {
       const double f2 = (x[0] - 1.0) * (x[0] - 1.0) + (x[1] - 1.0) * (x[1] - 1.0);
       return std::vector<double>{f1, f2};
     };
-    MoboEngine engine(config, 2, sampler, objectives);
-    engine.run();
-    return engine;
+    return MoboEngine(config, 2, sampler, objectives);
   };
 
   for (const std::size_t refit_period : {1u, 4u, 100u}) {
-    const MoboEngine incremental = run(true, refit_period);
-    const MoboEngine reference = run(false, refit_period);
+    MoboEngine incremental = make(refit_period);
+    incremental.run();
+    MoboEngine reference = make(refit_period);
+    while (reference.evaluations_done() < incremental.evaluations_done()) {
+      MoboEngine fresh = make(refit_period);
+      fresh.restore(reference.snapshot());
+      fresh.step(1);
+      reference = std::move(fresh);
+    }
     ASSERT_EQ(incremental.history().size(), reference.history().size())
         << "refit_period=" << refit_period;
     for (std::size_t i = 0; i < incremental.history().size(); ++i) {

@@ -28,15 +28,17 @@ namespace lens {
 namespace {
 
 TEST(ThreadPool, RunsSubmittedTasks) {
-  par::ThreadPool pool(4);
+  // The waiter's predicate can turn true before the last task has locked
+  // `mutex` to notify, so the test may return while a worker is still
+  // inside notify_one. Declared before the pool, the counter, mutex and
+  // condvar outlive it: the pool's destructor joins every worker first.
   std::atomic<int> count{0};
   std::mutex mutex;
   std::condition_variable done;
+  par::ThreadPool pool(4);
   for (int i = 0; i < 16; ++i) {
     pool.submit([&] {
       if (count.fetch_add(1) + 1 == 16) {
-        // Signal under the mutex so the waiter cannot destroy `done` while
-        // this thread is still inside notify_one (condvar lifetime race).
         std::lock_guard<std::mutex> lock(mutex);
         done.notify_one();
       }
