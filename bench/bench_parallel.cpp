@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "opt/lanes.hpp"
 #include "par/probe.hpp"
 #include "par/runtime.hpp"
 
@@ -77,7 +78,8 @@ double process_cpu_ms() {
 int main() {
   lens::bench::heading("Parallel evaluation scaling (fixed 300-eval MOBO NAS search)");
   const std::size_t hardware = lens::par::hardware_threads();
-  std::printf("hardware threads: %zu%s\n\n", hardware,
+  std::printf("hardware threads: %zu | GP kernel lanes: %s%s\n\n", hardware,
+              lens::opt::lane_variant_name(lens::opt::lane_variant()),
               lens::bench::fast_mode() ? "  [fast mode: 40-eval budget]" : "");
 
   lens::core::NasResult reference;

@@ -426,29 +426,6 @@ int cmd_faults(const Args& args) {
   const core::DeploymentPlan plan = evaluator.compile(arch);
   const core::DeploymentEvaluation eval = plan.price(rig.hop_tu);
 
-  if (rig.tiers == 2) {
-    // Design-time pricing: what each degraded scenario costs, and whether
-    // the option set can serve it at all. (The scenario catalog prices over
-    // the scalar radio throughput, so it stays a two-tier analysis.)
-    const core::RobustDeploymentEvaluator robust(
-        evaluator, core::ThroughputDistribution::from_samples({tu}));
-    const core::FaultEvaluation priced =
-        robust.evaluate_under_faults(plan, core::default_fault_scenarios(tu));
-    std::printf("fault-scenario pricing for %s @ %.1f Mbps nominal:\n", arch.name().c_str(),
-                tu);
-    std::printf("%-15s %6s %9s %-14s %12s\n", "scenario", "prob", "servable", "best option",
-                "latency(ms)");
-    for (const core::FaultScenarioOutcome& o : priced.outcomes) {
-      std::printf("%-15s %6.2f %9s %-14s %12.1f\n", o.scenario.name.c_str(),
-                  o.scenario.probability, o.servable ? "yes" : "NO",
-                  o.servable ? eval.options[o.best_option].label(arch).c_str() : "-",
-                  o.latency_ms);
-    }
-    std::printf("availability %.1f%% | expected latency %.1f ms | degradation %.2fx\n\n",
-                100.0 * priced.availability, priced.expected_latency_ms,
-                priced.degradation_ratio);
-  }
-
   // Serving-time check: inject stochastic faults of all four classes and
   // compare graceful degradation (dynamic dispatch + edge fallback) against
   // a fixed best-latency pin that must ride out every outage.
@@ -502,6 +479,32 @@ int cmd_faults(const Args& args) {
   comm::ThroughputTrace trace;
   trace.samples_mbps = {tu};
   trace.interval_s = 1000.0;
+  // A system validates its configuration on construction: every option is
+  // checked before the first line of output.
+  (void)sim::EdgeCloudSystem(plan, trace, config);
+
+  if (rig.tiers == 2) {
+    // Design-time pricing: what each degraded scenario costs, and whether
+    // the option set can serve it at all. (The scenario catalog prices over
+    // the scalar radio throughput, so it stays a two-tier analysis.)
+    const core::RobustDeploymentEvaluator robust(
+        evaluator, core::ThroughputDistribution::from_samples({tu}));
+    const core::FaultEvaluation priced =
+        robust.evaluate_under_faults(plan, core::default_fault_scenarios(tu));
+    std::printf("fault-scenario pricing for %s @ %.1f Mbps nominal:\n", arch.name().c_str(),
+                tu);
+    std::printf("%-15s %6s %9s %-14s %12s\n", "scenario", "prob", "servable", "best option",
+                "latency(ms)");
+    for (const core::FaultScenarioOutcome& o : priced.outcomes) {
+      std::printf("%-15s %6.2f %9s %-14s %12.1f\n", o.scenario.name.c_str(),
+                  o.scenario.probability, o.servable ? "yes" : "NO",
+                  o.servable ? eval.options[o.best_option].label(arch).c_str() : "-",
+                  o.latency_ms);
+    }
+    std::printf("availability %.1f%% | expected latency %.1f ms | degradation %.2fx\n\n",
+                100.0 * priced.availability, priced.expected_latency_ms,
+                priced.degradation_ratio);
+  }
 
   const auto run_policy = [&](sim::DispatchPolicy policy, std::size_t fixed,
                               const char* name) {
@@ -734,6 +737,10 @@ int cmd_cloud(const Args& args) {
     brownout.magnitude = 0.6;
   }
   config.cloud_faults.scripted.push_back(brownout);
+  config.cloud = cloud;
+  // An engine validates its configuration on construction: every option is
+  // checked before the first line of output.
+  (void)fleet::FleetEngine(plan, rig.hop_tu, config);
 
   std::printf(
       "finite-cloud policy duel: %zu devices x %zu steps (%.0f s/step) serving %s\n",

@@ -392,7 +392,11 @@ void FleetEngine::validate() const {
       throw std::invalid_argument(
           "FleetEngine: region_episodes entry targets a region out of range");
     }
+    sim::FaultSchedule validate_episode({re.episode});  // throws on bad knobs
+    (void)validate_episode;
   }
+  sim::FaultSchedule validate_scripted(config_.cloud_faults.scripted);  // throws on bad knobs
+  (void)validate_scripted;
   if (config_.fog.has_value()) {
     cloud::MachinePool validate_fog(*config_.fog);  // throws on bad knobs
     (void)validate_fog;

@@ -11,7 +11,8 @@ namespace lens::opt {
 std::size_t select_candidate(const std::vector<GaussianProcess>& gps,
                              const std::vector<std::vector<double>>& pool,
                              const ObjectiveNormalizer& normalizer,
-                             const AcquisitionConfig& config, std::mt19937_64& rng) {
+                             const AcquisitionConfig& config, std::mt19937_64& rng,
+                             GpWorkspace* workspace) {
   if (pool.empty()) throw std::invalid_argument("select_candidate: empty pool");
   if (gps.empty()) throw std::invalid_argument("select_candidate: no objectives");
   const std::size_t num_objectives = gps.size();
@@ -25,7 +26,7 @@ std::size_t select_candidate(const std::vector<GaussianProcess>& gps,
   // (and bit-identical to the per-objective sample_at loop it batches).
   std::vector<std::vector<double>> sampled;
   if (config.kind == AcquisitionKind::kThompsonScalarized) {
-    sampled = sample_objectives_at(gps, pool, rng);
+    sampled = sample_objectives_at(gps, pool, rng, workspace);
   } else {
     sampled.assign(num_objectives, std::vector<double>(pool_size));
     par::parallel_for(num_objectives * pool_size, [&](std::size_t idx) {

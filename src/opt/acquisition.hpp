@@ -34,10 +34,12 @@ struct AcquisitionConfig {
 /// `gps` holds one fitted GP per objective, `pool` the candidate encodings,
 /// `normalizer` the observed objective ranges used to put sampled objective
 /// values on comparable scales. Throws when the pool is empty or the GP
-/// count is zero.
+/// count is zero. The Thompson draw's scratch comes from `workspace` (see
+/// sample_objectives_at).
 std::size_t select_candidate(const std::vector<GaussianProcess>& gps,
                              const std::vector<std::vector<double>>& pool,
                              const ObjectiveNormalizer& normalizer,
-                             const AcquisitionConfig& config, std::mt19937_64& rng);
+                             const AcquisitionConfig& config, std::mt19937_64& rng,
+                             GpWorkspace* workspace = nullptr);
 
 }  // namespace lens::opt

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
+#include <mutex>
 #include <numbers>
 #include <stdexcept>
 
@@ -54,7 +54,158 @@ std::vector<double> standard_normals(std::size_t m, std::mt19937_64& rng) {
   for (double& v : z) v = gauss(rng);
   return z;
 }
+
+// out[p][q] = the sum of vi[4t + p] * vj[4t + q] in ascending t from 0.0:
+// the dot products of one 4x4 covariance tile, each row's four q held in
+// vectors of `Lanes`. Inlined into each variant below, so it compiles for
+// that variant's ISA.
+template <typename Lanes>
+[[gnu::always_inline]] inline void tile_dots_body(const double* vi, const double* vj,
+                                                  std::size_t n, double (&out)[4][4]) {
+  constexpr std::size_t kWidth = sizeof(Lanes) / sizeof(double);
+  constexpr std::size_t kVectors = 4 / kWidth;
+  Lanes acc[4][kVectors] = {};
+  for (std::size_t t = 0; t < n; ++t) {
+    Lanes row[kVectors];
+    for (std::size_t h = 0; h < kVectors; ++h) load_lanes(row[h], vj + 4 * t + kWidth * h);
+    for (std::size_t p = 0; p < 4; ++p) {
+      for (std::size_t h = 0; h < kVectors; ++h) acc[p][h] += vi[4 * t + p] * row[h];
+    }
+  }
+  for (std::size_t p = 0; p < 4; ++p) {
+    for (std::size_t h = 0; h < kVectors; ++h) store_lanes(&out[p][kWidth * h], acc[p][h]);
+  }
+}
+
+using TileDots = void (*)(const double*, const double*, std::size_t, double (&)[4][4]);
+
+void tile_dots_two_lane(const double* vi, const double* vj, std::size_t n,
+                        double (&out)[4][4]) {
+  tile_dots_body<DoublePair>(vi, vj, n, out);
+}
+
+#if LENS_FOUR_LANE_AVX2
+[[gnu::target("avx2")]] void tile_dots_four_lane(const double* vi, const double* vj,
+                                                 std::size_t n, double (&out)[4][4]) {
+  tile_dots_body<DoubleQuad>(vi, vj, n, out);
+}
+#endif
+
+TileDots tile_dots(LaneVariant variant) {
+#if LENS_FOUR_LANE_AVX2
+  if (variant == LaneVariant::kFourLaneAvx2) return tile_dots_four_lane;
+#endif
+  (void)variant;
+  return tile_dots_two_lane;
+}
 }  // namespace
+
+struct GpWorkspace::Buffers {
+  /// One task's square matrix, its diagonal as built, and a factor: a draw
+  /// objective's covariance, or a grid run's Gram.
+  struct Scratch {
+    Matrix matrix;
+    std::vector<double> diagonal;
+    CholeskyFactor factor;
+
+    void save_diagonal() {
+      diagonal.resize(matrix.rows());
+      for (std::size_t i = 0; i < diagonal.size(); ++i) diagonal[i] = matrix(i, i);
+    }
+    /// matrix(i, i) = diagonal[i] + shift: add_diagonal(shift)'s arithmetic
+    /// on the matrix as built, written in place.
+    void shift_diagonal(double shift) {
+      for (std::size_t i = 0; i < diagonal.size(); ++i) matrix(i, i) = diagonal[i] + shift;
+    }
+  };
+
+  /// Puts a lent Scratch back on the idle list.
+  struct GiveBack {
+    Buffers* buffers;
+    void operator()(Scratch* scratch) const {
+      const std::lock_guard<std::mutex> lock(buffers->mutex);
+      buffers->idle.emplace_back(scratch);
+    }
+  };
+  using Lease = std::unique_ptr<Scratch, GiveBack>;
+
+  /// An idle Scratch, or a new one when all are lent, so a workspace holds
+  /// no more of them than were ever lent at once. The draw and the grid
+  /// search lend from the same list.
+  Lease lend() {
+    const std::lock_guard<std::mutex> lock(mutex);
+    if (idle.empty()) return Lease(new Scratch, GiveBack{this});
+    Lease lease(idle.back().release(), GiveBack{this});
+    idle.pop_back();
+    return lease;
+  }
+
+  /// Pair statistics: the grid search's X x X in the first; a draw's cross
+  /// and pool matrices of model group g in [2g] and [2g + 1].
+  std::vector<Matrix> statistics;
+  /// A draw's n x 4 cross-solve panels, one per (objective, 4-point block),
+  /// 4 n_max doubles apart (n_max the largest training set).
+  std::vector<double> panels;
+  std::mutex mutex;  // guards idle
+  std::vector<std::unique_ptr<Scratch>> idle;
+};
+
+namespace {
+using Scratch = GpWorkspace::Buffers::Scratch;
+
+// Jitter-escalated factorization of a draw's covariance (scratch.matrix, its
+// diagonal overwritten) plus the mean + L z combine, in original units: the
+// O(m^3) tail of one draw.
+std::vector<double> finish_draw(Scratch& scratch, std::vector<double> mean,
+                                const std::vector<double>& z, double y_mean, double y_std) {
+  // Jitter escalation: posterior covariances of near-duplicate query points
+  // are frequently semi-definite. Each attempt factorizes cov + jitter I,
+  // with the jittered diagonal written in place.
+  scratch.save_diagonal();
+  double jitter = 1e-8;
+  for (;;) {
+    scratch.shift_diagonal(jitter);
+    try {
+      scratch.factor.refactorize(scratch.matrix);
+      break;
+    } catch (const std::domain_error&) {
+      jitter *= 10.0;
+      if (jitter > 1.0) {
+        throw std::domain_error("GaussianProcess::sample_at: covariance irreparably indefinite");
+      }
+    }
+  }
+  scratch.factor.add_lower_product(z, mean);
+  for (double& v : mean) v = y_mean + y_std * v;
+  return mean;
+}
+}  // namespace
+
+GpWorkspace::GpWorkspace() = default;
+GpWorkspace::~GpWorkspace() = default;
+GpWorkspace::GpWorkspace(GpWorkspace&&) noexcept = default;
+GpWorkspace& GpWorkspace::operator=(GpWorkspace&&) noexcept = default;
+
+GpWorkspace::Buffers& GpWorkspace::buffers() {
+  if (!buffers_) buffers_ = std::make_unique<Buffers>();
+  return *buffers_;
+}
+
+void GpWorkspace::reserve(std::size_t points, std::size_t queries, std::size_t objectives) {
+  Buffers& b = buffers();
+  if (b.statistics.size() < 2) b.statistics.resize(2);
+  b.statistics[0].reserve(std::max(points, queries) * points);
+  b.statistics[1].reserve(queries * queries);
+  b.panels.reserve(objectives * ((queries + 3) / 4) * 4 * points);
+  const std::size_t side = std::max(points, queries);
+  std::vector<Buffers::Lease> scratch;
+  for (std::size_t k = 0; k < objectives; ++k) {
+    scratch.push_back(b.lend());
+    scratch.back()->matrix.reserve(side * side);
+    scratch.back()->diagonal.reserve(side);
+    scratch.back()->factor.reserve(side);
+  }
+}
 
 GaussianProcess::GaussianProcess(GpConfig config)
     : config_(config),
@@ -69,7 +220,8 @@ void GaussianProcess::fit(std::vector<std::vector<double>> x, std::vector<double
 
 std::vector<GaussianProcess> fit_objectives(const GpConfig& config,
                                             std::vector<std::vector<double>> x,
-                                            std::vector<std::vector<double>> ys) {
+                                            std::vector<std::vector<double>> ys,
+                                            GpWorkspace* workspace) {
   const auto mismatched = [&](const std::vector<double>& y) { return y.size() != x.size(); };
   if (x.empty() || ys.empty() || std::any_of(ys.begin(), ys.end(), mismatched)) {
     throw std::invalid_argument("GaussianProcess::fit: empty or mismatched data");
@@ -88,38 +240,54 @@ std::vector<GaussianProcess> fit_objectives(const GpConfig& config,
   }
 
   // Every Gram matrix below depends on X only through its pair statistics.
-  const Matrix statistics = pair_statistics(gps.front().kernel_.statistic(), x, x);
+  GpWorkspace own;
+  GpWorkspace::Buffers& buffers = (workspace != nullptr ? *workspace : own).buffers();
+  if (buffers.statistics.empty()) buffers.statistics.emplace_back();
+  const Matrix& statistics = buffers.statistics.front();
+  pair_statistics(gps.front().kernel_.statistic(), x, x, buffers.statistics.front());
   const std::vector<GridPoint> grid = hyperparameter_grid(config);
-  const auto gram_at = [&](const GridPoint& p) {
-    Matrix k = Kernel(config.family, p.signal, p.length).gram(statistics, dim);
-    k.add_diagonal(p.noise + 1e-9);
-    return k;
+  // Grid point p's Gram, noise-free, with its diagonal saved.
+  const auto build_gram = [&](const GridPoint& p, Scratch& scratch) {
+    Kernel(config.family, p.signal, p.length).gram(statistics, dim, scratch.matrix);
+    scratch.save_diagonal();
   };
 
-  // One factorization per grid point scores every objective: the
-  // log-determinant is shared and each objective pays one solve. A failed
-  // factor or a non-finite LML scores -inf. Grid points run in parallel and
-  // each objective keeps its first maximum in grid order, so the winners
-  // are the same for any thread count.
+  // Grid points that differ only in noise share every off-diagonal Gram
+  // entry, and the grid lists them in runs: each run builds its Gram once
+  // and writes each noise onto the saved diagonal before factorizing. One
+  // factorization scores every objective: the log-determinant is shared and
+  // each objective pays one solve. A failed factor or a non-finite LML
+  // scores -inf. Runs are scored in parallel and each objective keeps its
+  // first maximum in grid order, so the winners are the same for any
+  // thread count.
+  std::vector<std::size_t> runs = {0};
+  for (std::size_t g = 1; g < grid.size(); ++g) {
+    if (grid[g].signal != grid[g - 1].signal || grid[g].length != grid[g - 1].length) {
+      runs.push_back(g);
+    }
+  }
+  runs.push_back(grid.size());
   std::vector<std::size_t> winner(num, 0);
   if (config.tune_hyperparameters) {
-    const std::vector<std::vector<double>> lmls =
-        par::parallel_map(grid.size(), [&](std::size_t g) {
-          std::vector<double> lml(num, -kInf);
-          CholeskyFactor factor;
-          try {
-            factor = CholeskyFactor::factorize(gram_at(grid[g]));
-          } catch (const std::domain_error&) {
-            return lml;
-          }
-          const double log_det = factor.log_det();
-          for (std::size_t k = 0; k < num; ++k) {
-            const std::vector<double>& y = gps[k].y_normalized_;
-            const double value = lml_of(y, factor.solve(y), log_det);
-            if (std::isfinite(value)) lml[k] = value;
-          }
-          return lml;
-        });
+    std::vector<std::vector<double>> lmls(grid.size(), std::vector<double>(num, -kInf));
+    par::parallel_for(runs.size() - 1, [&](std::size_t r) {
+      const GpWorkspace::Buffers::Lease scratch = buffers.lend();
+      build_gram(grid[runs[r]], *scratch);
+      for (std::size_t g = runs[r]; g < runs[r + 1]; ++g) {
+        scratch->shift_diagonal(grid[g].noise + 1e-9);
+        try {
+          scratch->factor.refactorize(scratch->matrix);
+        } catch (const std::domain_error&) {
+          continue;
+        }
+        const double log_det = scratch->factor.log_det();
+        for (std::size_t k = 0; k < num; ++k) {
+          const std::vector<double>& y = gps[k].y_normalized_;
+          const double value = lml_of(y, scratch->factor.solve(y), log_det);
+          if (std::isfinite(value)) lmls[g][k] = value;
+        }
+      }
+    });
     for (std::size_t k = 0; k < num; ++k) {
       double best = -kInf;
       for (std::size_t g = 0; g < grid.size(); ++g) {
@@ -143,18 +311,29 @@ std::vector<GaussianProcess> fit_objectives(const GpConfig& config,
   std::vector<CholeskyFactor> factors;
   try {
     factors = par::parallel_map(distinct.size(), [&](std::size_t w) {
-      return CholeskyFactor::factorize(gram_at(grid[distinct[w]]));
+      const GridPoint& p = grid[distinct[w]];
+      const GpWorkspace::Buffers::Lease scratch = buffers.lend();
+      build_gram(p, *scratch);
+      scratch->shift_diagonal(p.noise + 1e-9);
+      return CholeskyFactor::factorize(scratch->matrix);
     });
   } catch (const std::domain_error&) {
     throw std::domain_error("GaussianProcess::fit: Gram matrix not positive definite");
   }
+  // The last objective to use a winner's factor takes it; any earlier one
+  // copies it.
+  for (std::size_t k = 0; k < num; ++k) {
+    const auto w = static_cast<std::size_t>(
+        std::find(distinct.begin(), distinct.end(), winner[k]) - distinct.begin());
+    const bool last = std::find(winner.begin() + static_cast<std::ptrdiff_t>(k) + 1,
+                                winner.end(), winner[k]) == winner.end();
+    gps[k].factor_ = last ? std::move(factors[w]) : factors[w];
+  }
   par::parallel_for(num, [&](std::size_t k) {
     GaussianProcess& gp = gps[k];
-    const auto w = std::find(distinct.begin(), distinct.end(), winner[k]) - distinct.begin();
     const GridPoint& p = grid[winner[k]];
     gp.kernel_ = Kernel(config.family, p.signal, p.length);
     gp.noise_variance_ = p.noise;
-    gp.factor_ = factors[static_cast<std::size_t>(w)];
     gp.alpha_ = gp.factor_.solve(gp.y_normalized_);
     gp.log_marginal_likelihood_ = lml_of(gp.y_normalized_, gp.alpha_, gp.factor_.log_det());
     if (!std::isfinite(gp.log_marginal_likelihood_)) {
@@ -224,28 +403,33 @@ GaussianProcess::Prediction GaussianProcess::predict(const std::vector<double>& 
 
 std::vector<double> GaussianProcess::sample_at(
     const std::vector<std::vector<double>>& xs, std::mt19937_64& rng) const {
-  return draw({this}, xs, {standard_normals(xs.size(), rng)}).front();
+  GpWorkspace workspace;
+  return draw({this}, xs, {standard_normals(xs.size(), rng)}, workspace).front();
 }
 
 std::vector<std::vector<double>> sample_objectives_at(
     const std::vector<GaussianProcess>& gps, const std::vector<std::vector<double>>& xs,
-    std::mt19937_64& rng) {
+    std::mt19937_64& rng, GpWorkspace* workspace) {
   // Every objective's z vector is drawn serially in objective order — the
   // exact generator consumption order of the per-objective sample_at loop.
   std::vector<std::vector<double>> z;
   for (std::size_t k = 0; k < gps.size(); ++k) z.push_back(standard_normals(xs.size(), rng));
   std::vector<const GaussianProcess*> models;
   for (const GaussianProcess& gp : gps) models.push_back(&gp);
-  return GaussianProcess::draw(models, xs, z);
+  GpWorkspace own;
+  return GaussianProcess::draw(models, xs, z, workspace != nullptr ? *workspace : own);
 }
 
 std::vector<std::vector<double>> GaussianProcess::draw(
     const std::vector<const GaussianProcess*>& models,
-    const std::vector<std::vector<double>>& xs, const std::vector<std::vector<double>>& z) {
+    const std::vector<std::vector<double>>& xs, const std::vector<std::vector<double>>& z,
+    GpWorkspace& workspace) {
   const std::size_t num = models.size();
   const std::size_t m = xs.size();
-  const std::size_t dim = m == 0 ? 0 : xs.front().size();
+  if (m == 0) return std::vector<std::vector<double>>(num);
+  const std::size_t dim = xs.front().size();
   const std::size_t blocks = (m + 3) / 4;
+  GpWorkspace::Buffers& buffers = workspace.buffers();
 
   // Models with the same statistic and training inputs share the query
   // block's pair statistics: cross(t, i) against training point t, and
@@ -253,8 +437,6 @@ std::vector<std::vector<double>> GaussianProcess::draw(
   struct Group {
     PairStatistic statistic;
     const std::vector<std::vector<double>>* x;
-    Matrix cross;
-    Matrix pool;
   };
   std::vector<Group> groups;
   std::vector<std::size_t> group_of(num);
@@ -263,23 +445,36 @@ std::vector<std::vector<double>> GaussianProcess::draw(
     const PairStatistic statistic = gp.kernel_.statistic();
     std::size_t g = 0;
     while (g < groups.size() && !(groups[g].statistic == statistic && *groups[g].x == gp.x_)) ++g;
-    if (g == groups.size()) groups.push_back({statistic, &gp.x_, {}, {}});
+    if (g == groups.size()) groups.push_back({statistic, &gp.x_});
     group_of[k] = g;
   }
-  for (Group& group : groups) {
-    group.cross = pair_statistics(group.statistic, xs, *group.x);
-    group.pool = pair_statistics(group.statistic, xs, xs);
+  if (buffers.statistics.size() < 2 * groups.size()) {
+    buffers.statistics.resize(2 * groups.size());
   }
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    pair_statistics(groups[g].statistic, xs, *groups[g].x, buffers.statistics[2 * g]);
+    pair_statistics(groups[g].statistic, xs, xs, buffers.statistics[2 * g + 1]);
+  }
+  const auto cross_of = [&](std::size_t k) -> const Matrix& {
+    return buffers.statistics[2 * group_of[k]];
+  };
+  const auto pool_of = [&](std::size_t k) -> const Matrix& {
+    return buffers.statistics[2 * group_of[k] + 1];
+  };
 
   // Cross-solves, one (objective, 4-point block) per index: the block's
   // cross-covariances fill an n x 4 panel (zero-padded past m), the
   // posterior mean takes one ascending dot product per point, and the
-  // panel is solved in place into V = L^{-1} K(train, block). The panels
-  // and each objective's covariance matrix (allocated by its first block)
-  // are allocated here, so their zero fill runs in the parallel section.
-  std::vector<std::vector<double>> panels(num * blocks);
+  // panel is solved in place into V = L^{-1} K(train, block). Each
+  // objective's covariance is reshaped by its first block, so the panels'
+  // and the covariances' fill runs in the parallel section.
+  std::size_t stride = 0;
+  for (const GaussianProcess* gp : models) stride = std::max(stride, 4 * gp->size());
+  if (buffers.panels.size() < num * blocks * stride) buffers.panels.resize(num * blocks * stride);
+  const auto panel = [&](std::size_t idx) { return buffers.panels.data() + idx * stride; };
+  std::vector<GpWorkspace::Buffers::Lease> cov;
+  for (std::size_t k = 0; k < num; ++k) cov.push_back(buffers.lend());
   std::vector<std::vector<double>> mean(num, std::vector<double>(m));
-  std::vector<Matrix> cov(num);
   par::parallel_for(num * blocks, [&](std::size_t idx) {
     const std::size_t k = idx / blocks;
     const GaussianProcess& gp = *models[k];
@@ -287,10 +482,10 @@ std::vector<std::vector<double>> GaussianProcess::draw(
     const std::size_t n = gp.size();
     const std::size_t i0 = 4 * (idx % blocks);
     const std::size_t width = std::min<std::size_t>(4, m - i0);
-    if (i0 == 0) cov[k] = Matrix(m, m);
-    const Matrix& cross = groups[group_of[k]].cross;
-    std::vector<double>& v = panels[idx];
-    v.assign(4 * n, 0.0);
+    if (i0 == 0) cov[k]->matrix.assign(m, m);
+    const Matrix& cross = cross_of(k);
+    double* v = panel(idx);
+    std::fill(v, v + 4 * n, 0.0);
     for (std::size_t t = 0; t < n; ++t) {
       gp.kernel_.values(cross.row_data(t) + i0, width, dim, &v[4 * t]);
     }
@@ -299,33 +494,28 @@ std::vector<std::vector<double>> GaussianProcess::draw(
       for (std::size_t q = 0; q < width; ++q) acc[q] += v[4 * t + q] * gp.alpha_[t];
     }
     for (std::size_t q = 0; q < width; ++q) mean[k][i0 + q] = acc[q];
-    gp.factor_.solve_lower_many(v.data(), 4, width);
+    gp.factor_.solve_lower_many(v, 4, width);
   });
 
-  // Posterior covariance k(i, j) - v_i . v_j in 4x4 register tiles, one
-  // (objective, row block) per index covering the tiles right of the
-  // diagonal. Every entry still sums v_i[t] * v_j[t] in ascending t from
-  // 0.0, so it equals the scalar dot product bit for bit; each tile writes
-  // its entries and their mirror images, which no other index touches.
+  // Posterior covariance k(i, j) - v_i . v_j in 4x4 tiles, one (objective,
+  // row block) per index covering the tiles right of the diagonal. Every
+  // entry still sums v_i[t] * v_j[t] in ascending t from 0.0, so it equals
+  // the scalar dot product bit for bit on either lane variant; each tile
+  // writes its entries and their mirror images, which no other index
+  // touches.
+  const TileDots dots_of = tile_dots(lane_variant());
   par::parallel_for(num * blocks, [&](std::size_t idx) {
     const std::size_t k = idx / blocks;
     const GaussianProcess& gp = *models[k];
     if (!gp.is_fitted()) return;
     const std::size_t n = gp.size();
     const std::size_t bi = idx % blocks;
-    const Matrix& pool = groups[group_of[k]].pool;
-    const double* vi = panels[idx].data();
+    const Matrix& pool = pool_of(k);
+    Matrix& covariance = cov[k]->matrix;
+    const double* vi = panel(idx);
     for (std::size_t bj = bi; bj < blocks; ++bj) {
-      const double* vj = panels[k * blocks + bj].data();
-      DoublePair acc[4][2] = {};
-      for (std::size_t t = 0; t < n; ++t) {
-        DoublePair row[2];
-        std::memcpy(row, vj + 4 * t, sizeof row);
-        for (std::size_t p = 0; p < 4; ++p) {
-          acc[p][0] += vi[4 * t + p] * row[0];
-          acc[p][1] += vi[4 * t + p] * row[1];
-        }
-      }
+      double dots[4][4];
+      dots_of(vi, panel(k * blocks + bj), n, dots);
       const std::size_t i0 = 4 * bi;
       const std::size_t j0 = 4 * bj;
       const std::size_t width = std::min<std::size_t>(4, m - j0);
@@ -333,9 +523,9 @@ std::vector<std::vector<double>> GaussianProcess::draw(
         double k_ij[4] = {};
         gp.kernel_.values(pool.row_data(i0 + p) + j0, width, dim, k_ij);
         for (std::size_t q = 0; q < width; ++q) {
-          const double c = k_ij[q] - acc[p][q / 2][q % 2];
-          cov[k](i0 + p, j0 + q) = c;
-          cov[k](j0 + q, i0 + p) = c;
+          const double c = k_ij[q] - dots[p][q];
+          covariance(i0 + p, j0 + q) = c;
+          covariance(j0 + q, i0 + p) = c;
         }
       }
     }
@@ -346,40 +536,9 @@ std::vector<std::vector<double>> GaussianProcess::draw(
   std::vector<std::vector<double>> out(num);
   par::parallel_for(num, [&](std::size_t k) {
     const GaussianProcess& gp = *models[k];
-    if (!gp.is_fitted()) cov[k] = gp.kernel_.gram(groups[group_of[k]].pool, dim);
-    out[k] = gp.finish_draw(cov[k], mean[k], z[k]);
+    if (!gp.is_fitted()) gp.kernel_.gram(pool_of(k), dim, cov[k]->matrix);
+    out[k] = finish_draw(*cov[k], std::move(mean[k]), z[k], gp.y_mean_, gp.y_std_);
   });
-  return out;
-}
-
-std::vector<double> GaussianProcess::finish_draw(Matrix& cov, const std::vector<double>& mean,
-                                                 const std::vector<double>& z) const {
-  const std::size_t m = mean.size();
-  // Jitter escalation: posterior covariances of near-duplicate query points
-  // are frequently semi-definite. Each attempt factorizes cov + jitter I,
-  // with the jittered diagonal written in place.
-  std::vector<double> diagonal(m);
-  for (std::size_t i = 0; i < m; ++i) diagonal[i] = cov(i, i);
-  CholeskyFactor l;
-  double jitter = 1e-8;
-  for (;;) {
-    for (std::size_t i = 0; i < m; ++i) cov(i, i) = diagonal[i] + jitter;
-    try {
-      l = CholeskyFactor::factorize(cov);
-      break;
-    } catch (const std::domain_error&) {
-      jitter *= 10.0;
-      if (jitter > 1.0) {
-        throw std::domain_error("GaussianProcess::sample_at: covariance irreparably indefinite");
-      }
-    }
-  }
-  std::vector<double> out(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    double acc = mean[i];
-    for (std::size_t j = 0; j <= i; ++j) acc += l.at(i, j) * z[j];
-    out[i] = y_mean_ + y_std_ * acc;
-  }
   return out;
 }
 

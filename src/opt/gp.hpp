@@ -4,6 +4,7 @@
 // used by the MOBO engine, paper Alg. 2 line 9: f_k = GP_k(D)).
 
 #include <cstddef>
+#include <memory>
 #include <random>
 #include <vector>
 
@@ -33,6 +34,33 @@ struct GpConfig {
   /// Initial / fallback hyper-parameters.
   double signal_variance = 1.0;
   double length_scale = 0.5;
+};
+
+/// Scratch memory of the GP layer's O(n^3) calls, kept from one call to the
+/// next: a draw's statistic matrices, cross-solve panels, covariances and
+/// their factors, and the grid search's Gram and factor buffers. Freeing
+/// them after every call lets the allocator return several MB to the OS,
+/// which the next call faults back in. What a workspace held never changes
+/// a result. One call at a time: concurrent calls need one workspace each.
+class GpWorkspace {
+ public:
+  GpWorkspace();
+  ~GpWorkspace();
+  GpWorkspace(GpWorkspace&&) noexcept;
+  GpWorkspace& operator=(GpWorkspace&&) noexcept;
+
+  /// Size every buffer up front for fits of up to `points` training points
+  /// and draws of `objectives` models over up to `queries` points, so no
+  /// later call reallocates (which would leave the old buffers as holes in
+  /// the heap). Reserved memory is touched only as calls use it.
+  void reserve(std::size_t points, std::size_t queries, std::size_t objectives);
+
+  /// The buffers (defined in gp.cpp), created on first use.
+  struct Buffers;
+  Buffers& buffers();
+
+ private:
+  std::unique_ptr<Buffers> buffers_;
 };
 
 /// Gaussian-process regressor over real vectors.
@@ -119,18 +147,16 @@ class GaussianProcess {
   /// draw path behind sample_at and sample_objectives_at.
   static std::vector<std::vector<double>> draw(
       const std::vector<const GaussianProcess*>& models,
-      const std::vector<std::vector<double>>& xs, const std::vector<std::vector<double>>& z);
-  /// Jitter-escalated factorization of the covariance (its diagonal is
-  /// overwritten) plus the mean + L z combine — the O(m^3) tail of one draw.
-  std::vector<double> finish_draw(Matrix& cov, const std::vector<double>& mean,
-                                  const std::vector<double>& z) const;
+      const std::vector<std::vector<double>>& xs, const std::vector<std::vector<double>>& z,
+      GpWorkspace& workspace);
 
   friend std::vector<GaussianProcess> fit_objectives(const GpConfig& config,
                                                      std::vector<std::vector<double>> x,
-                                                     std::vector<std::vector<double>> ys);
+                                                     std::vector<std::vector<double>> ys,
+                                                     GpWorkspace* workspace);
   friend std::vector<std::vector<double>> sample_objectives_at(
       const std::vector<GaussianProcess>& gps, const std::vector<std::vector<double>>& xs,
-      std::mt19937_64& rng);
+      std::mt19937_64& rng, GpWorkspace* workspace);
 
   GpConfig config_;
   Kernel kernel_;
@@ -150,14 +176,17 @@ class GaussianProcess {
 /// Fit one GP per target vector (ys[k] over the shared inputs x) with one
 /// grid search: the statistic matrix of x is computed once, and each grid
 /// point's Gram matrix is built from it and factorized once for every
-/// objective (shared log-determinant, one solve per objective). Each
-/// objective keeps its first maximum in grid order, then only the distinct
-/// winners are factorized again. Every model is bit-identical to a separate
-/// fit() of its own targets, at any thread count. An untuned config scores
-/// nothing: its grid is the configured point.
+/// objective (shared log-determinant, one solve per objective). Grid points
+/// that differ only in noise share one Gram build. Each objective keeps its
+/// first maximum in grid order, then only the distinct winners are
+/// factorized again. Every model is bit-identical to a separate fit() of
+/// its own targets, at any thread count. An untuned config scores nothing:
+/// its grid is the configured point. Scratch comes from `workspace`, or
+/// from a workspace of the call's own when it is null.
 std::vector<GaussianProcess> fit_objectives(const GpConfig& config,
                                             std::vector<std::vector<double>> x,
-                                            std::vector<std::vector<double>> ys);
+                                            std::vector<std::vector<double>> ys,
+                                            GpWorkspace* workspace = nullptr);
 
 /// Batched joint Thompson draws: one posterior sample per objective GP over
 /// the shared query block, bit-identical to the serial loop
@@ -167,9 +196,11 @@ std::vector<GaussianProcess> fit_objectives(const GpConfig& config,
 /// inputs share one pool x train and one pool x pool statistic matrix; the
 /// cross-solves and covariance tiles of all objectives run as
 /// (objective x 4-point block) parallel sections, and the O(m^3)
-/// covariance factorizations run concurrently across objectives.
+/// covariance factorizations run concurrently across objectives. Scratch
+/// comes from `workspace`, or from a workspace of the call's own when it is
+/// null.
 std::vector<std::vector<double>> sample_objectives_at(
     const std::vector<GaussianProcess>& gps, const std::vector<std::vector<double>>& xs,
-    std::mt19937_64& rng);
+    std::mt19937_64& rng, GpWorkspace* workspace = nullptr);
 
 }  // namespace lens::opt

@@ -89,12 +89,18 @@ double squared_distance(const std::vector<double>& x, const std::vector<double>&
 
 Matrix pair_statistics(PairStatistic statistic, const std::vector<std::vector<double>>& xs,
                        const std::vector<std::vector<double>>& queries) {
-  Matrix out(queries.size(), xs.size());
-  if (xs.empty()) return out;
+  Matrix out;
+  pair_statistics(statistic, xs, queries, out);
+  return out;
+}
+
+void pair_statistics(PairStatistic statistic, const std::vector<std::vector<double>>& xs,
+                     const std::vector<std::vector<double>>& queries, Matrix& out) {
+  out.assign(queries.size(), xs.size());
+  if (xs.empty()) return;
   par::parallel_for(queries.size(), [&](std::size_t q) {
     statistic_row(statistic, xs, queries[q], &out(q, 0));
   });
-  return out;
 }
 
 Kernel::Kernel(KernelFamily family, double signal_variance, double length_scale)
@@ -145,17 +151,18 @@ double Kernel::operator()(const std::vector<double>& x, const std::vector<double
 }
 
 Matrix Kernel::gram(const std::vector<std::vector<double>>& xs) const {
-  return gram(pair_statistics(statistic(), xs, xs), xs.empty() ? 0 : xs.front().size());
+  Matrix k;
+  gram(pair_statistics(statistic(), xs, xs), xs.empty() ? 0 : xs.front().size(), k);
+  return k;
 }
 
-Matrix Kernel::gram(const Matrix& statistics, std::size_t dim) const {
+void Kernel::gram(const Matrix& statistics, std::size_t dim, Matrix& out) const {
   const std::size_t n = statistics.rows();
-  Matrix k(n, n);
+  out.assign(n, n);
   for (std::size_t i = 0; i < n; ++i) {
-    values(statistics.row_data(i), i + 1, dim, &k(i, 0));
-    for (std::size_t j = 0; j < i; ++j) k(j, i) = k(i, j);
+    values(statistics.row_data(i), i + 1, dim, &out(i, 0));
+    for (std::size_t j = 0; j < i; ++j) out(j, i) = out(i, j);
   }
-  return k;
 }
 
 std::vector<double> Kernel::cross(const std::vector<std::vector<double>>& xs,

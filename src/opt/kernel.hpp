@@ -27,6 +27,10 @@ enum class PairStatistic { kSquaredDistance, kHammingCount };
 Matrix pair_statistics(PairStatistic statistic, const std::vector<std::vector<double>>& xs,
                        const std::vector<std::vector<double>>& queries);
 
+/// pair_statistics() into `out`, reusing its storage.
+void pair_statistics(PairStatistic statistic, const std::vector<std::vector<double>>& xs,
+                     const std::vector<std::vector<double>>& queries, Matrix& out);
+
 /// Kernel family selector.
 ///   kRbf:      k = s^2 * exp(-r^2 / (2 l^2))
 ///   kMatern52: k = s^2 * (1 + sqrt(5) r / l + 5 r^2 / (3 l^2)) * exp(-sqrt(5) r / l),
@@ -73,9 +77,10 @@ class Kernel {
   Matrix gram(const std::vector<std::vector<double>>& xs) const;
 
   /// Gram matrix from a symmetric statistic matrix of `dim`-dimensional
-  /// points (pair_statistics(statistic(), xs, xs)): K_ij = k(S_ij). Each
-  /// lower-triangle entry is evaluated once and mirrored.
-  Matrix gram(const Matrix& statistics, std::size_t dim) const;
+  /// points (pair_statistics(statistic(), xs, xs)) into `out`, reusing its
+  /// storage: K_ij = k(S_ij). Each lower-triangle entry is evaluated once
+  /// and mirrored.
+  void gram(const Matrix& statistics, std::size_t dim, Matrix& out) const;
 
   /// Cross-covariance vector k(X_i, z) for all rows of X.
   std::vector<double> cross(const std::vector<std::vector<double>>& xs,

@@ -72,6 +72,12 @@ Matrix Matrix::add(const Matrix& rhs) const {
   return out;
 }
 
+void Matrix::assign(std::size_t rows, std::size_t cols, double fill) {
+  rows_ = rows;
+  cols_ = cols;
+  data_.assign(rows * cols, fill);
+}
+
 void Matrix::add_diagonal(double value) {
   const std::size_t n = rows_ < cols_ ? rows_ : cols_;
   for (std::size_t i = 0; i < n; ++i) (*this)(i, i) += value;
@@ -84,23 +90,104 @@ double Matrix::frobenius_norm() const {
 }
 
 namespace {
-// Lanes 2h and 2h+1 of a row of R right-hand sides; a lane past R reads as
-// 0.0 and is never stored back.
-template <std::size_t R>
-DoublePair load_lanes(const double* row, std::size_t h) {
-  DoublePair v = {row[2 * h], 0.0};
-  if (2 * h + 1 < R) v[1] = row[2 * h + 1];
-  return v;
+template <typename Lanes>
+constexpr std::size_t kLanes = sizeof(Lanes) / sizeof(double);
+
+// Lanes [W h, W h + W) of a row of R right-hand sides (W lanes per vector);
+// a lane past R reads as 0.0 and is never stored back.
+template <typename Lanes, std::size_t R>
+[[gnu::always_inline]] inline void load_row(Lanes& v, const double* row, std::size_t h) {
+  constexpr std::size_t W = kLanes<Lanes>;
+  if (W * h + W <= R) {
+    load_lanes(v, row + W * h);
+  } else {
+    v = Lanes{};
+    for (std::size_t l = 0; W * h + l < R; ++l) v[l] = row[W * h + l];
+  }
+}
+
+template <typename Lanes, std::size_t R>
+[[gnu::always_inline]] inline void store_row(double* row, std::size_t h, const Lanes& v) {
+  constexpr std::size_t W = kLanes<Lanes>;
+  if (W * h + W <= R) {
+    store_lanes(row + W * h, v);
+  } else {
+    for (std::size_t l = 0; W * h + l < R; ++l) row[W * h + l] = v[l];
+  }
+}
+
+// Forward substitution of R right-hand sides (entry t of side q at
+// b[t * ld + q]) against the packed n x n factor `data`. 4-row panels: each
+// (row, right-hand side) pair is its own accumulator chain over the settled
+// prefix x[0..i), subtracting in ascending t exactly as the row-oriented
+// loop; the right-hand sides of one row sit side by side, W per vector. The
+// 4x4 triangle then finishes each chain in ascending t before its divide.
+// Inlined into each variant below, so it compiles for that variant's ISA.
+template <typename Lanes, std::size_t R>
+[[gnu::always_inline]] inline void solve_lower_group_body(const double* data, std::size_t n,
+                                                          double* b, std::size_t ld) {
+  constexpr std::size_t kVectors = (R + kLanes<Lanes> - 1) / kLanes<Lanes>;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const double* l[4] = {&data[i * (i + 1) / 2], &data[(i + 1) * (i + 2) / 2],
+                          &data[(i + 2) * (i + 3) / 2], &data[(i + 3) * (i + 4) / 2]};
+    Lanes acc[4][kVectors];
+    for (std::size_t p = 0; p < 4; ++p) {
+      for (std::size_t h = 0; h < kVectors; ++h) {
+        load_row<Lanes, R>(acc[p][h], b + (i + p) * ld, h);
+      }
+    }
+    for (std::size_t t = 0; t < i; ++t) {
+      Lanes x[kVectors];
+      for (std::size_t h = 0; h < kVectors; ++h) load_row<Lanes, R>(x[h], b + t * ld, h);
+      for (std::size_t p = 0; p < 4; ++p) {
+        for (std::size_t h = 0; h < kVectors; ++h) acc[p][h] -= l[p][t] * x[h];
+      }
+    }
+    for (std::size_t p = 0; p < 4; ++p) {
+      for (std::size_t s = 0; s < p; ++s) {
+        for (std::size_t h = 0; h < kVectors; ++h) {
+          Lanes x;
+          load_row<Lanes, R>(x, b + (i + s) * ld, h);
+          acc[p][h] -= l[p][i + s] * x;
+        }
+      }
+      for (std::size_t h = 0; h < kVectors; ++h) {
+        store_row<Lanes, R>(b + (i + p) * ld, h, acc[p][h] / l[p][i + p]);
+      }
+    }
+  }
+  for (; i < n; ++i) {
+    const double* l = &data[i * (i + 1) / 2];
+    Lanes acc[kVectors];
+    for (std::size_t h = 0; h < kVectors; ++h) load_row<Lanes, R>(acc[h], b + i * ld, h);
+    for (std::size_t t = 0; t < i; ++t) {
+      for (std::size_t h = 0; h < kVectors; ++h) {
+        Lanes x;
+        load_row<Lanes, R>(x, b + t * ld, h);
+        acc[h] -= l[t] * x;
+      }
+    }
+    for (std::size_t h = 0; h < kVectors; ++h) {
+      store_row<Lanes, R>(b + i * ld, h, acc[h] / l[i]);
+    }
+  }
 }
 
 template <std::size_t R>
-void store_lanes(double* row, std::size_t h, DoublePair v) {
-  row[2 * h] = v[0];
-  if (2 * h + 1 < R) row[2 * h + 1] = v[1];
+void solve_lower_group_two_lane(const double* data, std::size_t n, double* b, std::size_t ld) {
+  solve_lower_group_body<DoublePair, R>(data, n, b, ld);
 }
+
+#if LENS_FOUR_LANE_AVX2
+[[gnu::target("avx2")]] void solve_lower_group_four_lane(const double* data, std::size_t n,
+                                                         double* b, std::size_t ld) {
+  solve_lower_group_body<DoubleQuad, 4>(data, n, b, ld);
+}
+#endif
 
 // Calls fn(std::integral_constant<std::size_t, R>{}) with R = min(width, 4),
-// so the four-wide kernels below are also compiled for every tail width.
+// so the four-wide kernels are also compiled for every tail width.
 template <typename Fn>
 void with_width(std::size_t width, Fn&& fn) {
   switch (width) {
@@ -113,15 +200,26 @@ void with_width(std::size_t width, Fn&& fn) {
 }  // namespace
 
 CholeskyFactor CholeskyFactor::factorize(const Matrix& a) {
+  CholeskyFactor f;
+  f.refactorize(a);
+  return f;
+}
+
+void CholeskyFactor::refactorize(const Matrix& a) {
   if (a.rows() != a.cols()) {
     throw std::invalid_argument("CholeskyFactor::factorize: matrix not square");
   }
-  CholeskyFactor f;
-  f.data_.resize(a.rows() * (a.rows() + 1) / 2);
-  while (f.n_ < a.rows()) {
-    with_width(a.rows() - f.n_, [&](auto rows) { f.settle_rows<decltype(rows)::value>(a); });
+  n_ = 0;
+  data_.resize(a.rows() * (a.rows() + 1) / 2);
+  try {
+    while (n_ < a.rows()) {
+      with_width(a.rows() - n_, [&](auto rows) { settle_rows<decltype(rows)::value>(a); });
+    }
+  } catch (const std::domain_error&) {
+    n_ = 0;
+    data_.clear();
+    throw;
   }
-  return f;
 }
 
 template <std::size_t R>
@@ -207,46 +305,25 @@ void CholeskyFactor::solve_lower_many(double* b, std::size_t ld, std::size_t cou
 
 template <std::size_t R>
 void CholeskyFactor::solve_lower_group(double* b, std::size_t ld) const {
-  constexpr std::size_t kPairs = (R + 1) / 2;
-  std::size_t i = 0;
-  // 4-row panels. Each (row, right-hand side) pair is its own accumulator
-  // chain over the settled prefix x[0..i), subtracting in ascending t
-  // exactly as the row-oriented loop; the right-hand sides of one row sit
-  // side by side, two per DoublePair. The 4x4 triangle then finishes each
-  // chain in ascending t before its divide.
-  for (; i + 4 <= n_; i += 4) {
-    const double* l[4] = {&data_[i * (i + 1) / 2], &data_[(i + 1) * (i + 2) / 2],
-                          &data_[(i + 2) * (i + 3) / 2], &data_[(i + 3) * (i + 4) / 2]};
-    DoublePair acc[4][kPairs];
-    for (std::size_t p = 0; p < 4; ++p) {
-      for (std::size_t h = 0; h < kPairs; ++h) acc[p][h] = load_lanes<R>(b + (i + p) * ld, h);
-    }
-    for (std::size_t t = 0; t < i; ++t) {
-      DoublePair x[kPairs];
-      for (std::size_t h = 0; h < kPairs; ++h) x[h] = load_lanes<R>(b + t * ld, h);
-      for (std::size_t p = 0; p < 4; ++p) {
-        for (std::size_t h = 0; h < kPairs; ++h) acc[p][h] -= l[p][t] * x[h];
-      }
-    }
-    for (std::size_t p = 0; p < 4; ++p) {
-      for (std::size_t s = 0; s < p; ++s) {
-        for (std::size_t h = 0; h < kPairs; ++h) {
-          acc[p][h] -= l[p][i + s] * load_lanes<R>(b + (i + s) * ld, h);
-        }
-      }
-      for (std::size_t h = 0; h < kPairs; ++h) {
-        store_lanes<R>(b + (i + p) * ld, h, acc[p][h] / l[p][i + p]);
-      }
-    }
+#if LENS_FOUR_LANE_AVX2
+  if (R == 4 && lane_variant() == LaneVariant::kFourLaneAvx2) {
+    solve_lower_group_four_lane(data_.data(), n_, b, ld);
+    return;
   }
-  for (; i < n_; ++i) {
-    const double* l = &data_[i * (i + 1) / 2];
-    DoublePair acc[kPairs];
-    for (std::size_t h = 0; h < kPairs; ++h) acc[h] = load_lanes<R>(b + i * ld, h);
-    for (std::size_t t = 0; t < i; ++t) {
-      for (std::size_t h = 0; h < kPairs; ++h) acc[h] -= l[t] * load_lanes<R>(b + t * ld, h);
-    }
-    for (std::size_t h = 0; h < kPairs; ++h) store_lanes<R>(b + i * ld, h, acc[h] / l[i]);
+#endif
+  solve_lower_group_two_lane<R>(data_.data(), n_, b, ld);
+}
+
+void CholeskyFactor::add_lower_product(const std::vector<double>& z,
+                                       std::vector<double>& acc) const {
+  if (z.size() != n_ || acc.size() != n_) {
+    throw std::invalid_argument("CholeskyFactor::add_lower_product: size mismatch");
+  }
+  const double* l = data_.data();
+  for (std::size_t i = 0; i < n_; ++i, l += i) {
+    double sum = acc[i];
+    for (std::size_t j = 0; j <= i; ++j) sum += l[j] * z[j];
+    acc[i] = sum;
   }
 }
 

@@ -10,13 +10,9 @@
 #include <stdexcept>
 #include <vector>
 
-namespace lens::opt {
+#include "opt/lanes.hpp"
 
-/// Two doubles operated on lane-wise (a GCC/Clang vector extension). Each
-/// lane of +, -, * and / rounds exactly like the scalar operation, so the
-/// blocked kernels use it to advance two independent accumulation chains
-/// per instruction without moving a bit.
-using DoublePair = double __attribute__((vector_size(16)));
+namespace lens::opt {
 
 /// Dense row-major matrix of doubles.
 class Matrix {
@@ -59,6 +55,12 @@ class Matrix {
 
   /// Elementwise sum; shapes must match.
   Matrix add(const Matrix& rhs) const;
+
+  /// Reshape to rows x cols with every entry `fill`, reusing the storage.
+  void assign(std::size_t rows, std::size_t cols, double fill = 0.0);
+
+  /// Make room for `entries` entries: no assign() up to that size allocates.
+  void reserve(std::size_t entries) { data_.reserve(entries); }
 
   /// Add `value` to every diagonal element (jitter / ridge term).
   void add_diagonal(double value);
@@ -106,6 +108,11 @@ class CholeskyFactor {
   /// finite (the matrix is not numerically positive definite).
   static CholeskyFactor factorize(const Matrix& a);
 
+  /// factorize() into this factor's storage, reusing its capacity: the same
+  /// floats, and no allocation once the capacity suffices. Throws as
+  /// factorize() does, leaving the factor empty.
+  void refactorize(const Matrix& a);
+
   /// Bordered-block append: grow the factor from n x n to (n+1) x (n+1).
   /// `cross_row` is a(n, 0..n-1) (size must equal size()), `diag` is a(n,n).
   /// O(n^2). Throws std::domain_error when the new pivot is not positive
@@ -115,6 +122,10 @@ class CholeskyFactor {
 
   std::size_t size() const { return n_; }
   bool empty() const { return n_ == 0; }
+
+  /// Make room for an n x n factor: no refactorize() or extend() up to that
+  /// size allocates.
+  void reserve(std::size_t n) { data_.reserve(n * (n + 1) / 2); }
 
   /// Lower-triangular element L(i, j); zero above the diagonal.
   double at(std::size_t i, std::size_t j) const;
@@ -133,6 +144,11 @@ class CholeskyFactor {
   /// ascending t, then one divide by L(i, i) — so each column is
   /// bit-identical to solve_lower() of that column alone.
   void solve_lower_many(double* b, std::size_t ld, std::size_t count) const;
+
+  /// acc[i] += L(i, j) * z[j] for j = 0..i, one term at a time in ascending
+  /// j: the mean + L z of a posterior draw when acc holds the mean. Both
+  /// sizes must equal size().
+  void add_lower_product(const std::vector<double>& z, std::vector<double>& acc) const;
 
   /// Solve L^T x = b (back substitution), O(n^2).
   std::vector<double> solve_lower_transpose(const std::vector<double>& b) const;
@@ -153,7 +169,8 @@ class CholeskyFactor {
   /// already allocated); throws at the first non-positive pivot.
   template <std::size_t R>
   void settle_rows(const Matrix& a);
-  /// solve_lower_many() for exactly R right-hand sides.
+  /// solve_lower_many() for exactly R right-hand sides, on the selected
+  /// lane variant when R is 4.
   template <std::size_t R>
   void solve_lower_group(double* b, std::size_t ld) const;
 

@@ -124,6 +124,8 @@ MoboEngine::MoboEngine(MoboConfig config, std::size_t num_objectives, Sampler sa
   if (config_.num_initial == 0) throw std::invalid_argument("MoboEngine: num_initial must be > 0");
   gps_.reserve(num_objectives_);
   for (std::size_t k = 0; k < num_objectives_; ++k) gps_.emplace_back(config_.gp);
+  workspace_.reserve(config_.num_initial + config_.num_iterations, config_.pool_size,
+                     num_objectives_);
 }
 
 void MoboEngine::record_observation(const std::vector<double>& x, std::vector<double> y) {
@@ -174,9 +176,13 @@ MoboEngine::training_data() const {
 
 void MoboEngine::refit_models() {
   // The objectives share X, so each grid point's factorization serves all
-  // of them.
+  // of them. The tuned fit never reads the old models, so they go first and
+  // their memory serves the new ones; a failed fit leaves the engine to
+  // refit at the next step, as a fresh or restored one would.
   auto [xs, ys] = training_data();
-  gps_ = fit_objectives(config_.gp, std::move(xs), std::move(ys));
+  models_ready_ = false;
+  gps_.clear();
+  gps_ = fit_objectives(config_.gp, std::move(xs), std::move(ys), &workspace_);
   models_ready_ = true;
 }
 
@@ -199,7 +205,7 @@ std::vector<double> MoboEngine::propose_next() {
   }
   if (pool.empty()) pool.push_back(sampler_(rng_));  // space exhausted: allow repeats
   const std::size_t chosen =
-      select_candidate(gps_, pool, normalizer_, config_.acquisition, rng_);
+      select_candidate(gps_, pool, normalizer_, config_.acquisition, rng_, &workspace_);
   return pool[chosen];
 }
 

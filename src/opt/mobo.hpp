@@ -187,6 +187,8 @@ class MoboEngine {
   ParetoFront front_;
   ObjectiveNormalizer normalizer_;
   std::vector<GaussianProcess> gps_;
+  /// Scratch of every refit and acquisition, kept for the engine's life.
+  GpWorkspace workspace_;
   std::size_t evaluations_done_ = 0;
   std::size_t iterations_since_refit_ = 0;
   bool models_ready_ = false;

@@ -44,6 +44,10 @@ void validate_config(const SimConfig& config, std::size_t num_options) {
     throw std::invalid_argument(
         "EdgeCloudSystem: the deadline must be finite and non-negative (0 disables)");
   }
+  if (config.cloud.has_value()) {
+    cloud::MachinePool validate_pool(*config.cloud);  // throws on bad knobs
+    (void)validate_pool;
+  }
 }
 
 /// Does the option's deepest segment run on the last tier? Hand-built legacy

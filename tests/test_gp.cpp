@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "lane_variants.hpp"
 #include "matrix_oracles.hpp"
 #include "opt/gp.hpp"
 #include "opt/kernel.hpp"
@@ -530,7 +531,9 @@ TEST_P(GpIncrementalTest, ObserveMatchesFullFitBitForBit) {
   }
 }
 
-TEST(Gp, BatchedObjectiveDrawsMatchSequentialSampleAtBitForBit) {
+class GpLanes : public LaneVariantTest<> {};
+
+TEST_P(GpLanes, BatchedObjectiveDrawsMatchSequentialSampleAtBitForBit) {
   // sample_objectives_at flattens the per-objective posterior draws into
   // wide parallel sections; it must consume the shared RNG in exactly the
   // order of the sequential per-objective loop and reproduce every draw
@@ -582,6 +585,9 @@ TEST(Gp, BatchedObjectiveDrawsMatchSequentialSampleAtBitForBit) {
   EXPECT_EQ(rng_sequential(), rng_batched());
 }
 
+INSTANTIATE_TEST_SUITE_P(Lanes, GpLanes, ::testing::ValuesIn(kLaneVariants),
+                         [](const auto& info) { return lane_variant_label(info.param); });
+
 /// Shared inputs in [0,1]^dim (snapped to eighths) and three objectives'
 /// targets on very different scales.
 struct Objectives {
@@ -630,7 +636,11 @@ void expect_matches_oracle(const GaussianProcess& gp, const oracle::Model& want,
   EXPECT_EQ(rng_got(), rng_expected()) << what;
 }
 
-class GpSharedFitTest : public ::testing::TestWithParam<KernelFamily> {};
+// Every kernel family, on each lane variant.
+class GpSharedFitTest : public LaneVariantTest<std::tuple<KernelFamily, LaneVariant>> {
+ protected:
+  KernelFamily family() const { return std::get<KernelFamily>(GetParam()); }
+};
 
 TEST_P(GpSharedFitTest, SharedFitMatchesSeparateOracleFitsBitForBit) {
   // One grid search for three objectives over shared X must give each the
@@ -640,7 +650,7 @@ TEST_P(GpSharedFitTest, SharedFitMatchesSeparateOracleFitsBitForBit) {
   const std::vector<std::vector<double>> queries = random_rows(7, 5, 1901);
   for (const bool tune : {true, false}) {
     GpConfig config;
-    config.family = GetParam();
+    config.family = family();
     config.tune_hyperparameters = tune;
     config.signal_variance = 1.3;
     config.length_scale = 0.7;
@@ -662,7 +672,7 @@ TEST_P(GpSharedFitTest, BatchedDrawsOverSharedInputsMatchOracleDraws) {
   // statistics, plus one unfitted model (prior draw, its own group). Pool
   // sizes 1-9 cover every covariance-tile tail; 256 is the engine's pool.
   GpConfig config;
-  config.family = GetParam();
+  config.family = family();
   const Objectives data = three_objectives(random_rows(21, 5, 2000));
   std::vector<GaussianProcess> gps = fit_objectives(config, data.x, data.ys);
   gps.emplace_back(config);
@@ -689,9 +699,51 @@ TEST_P(GpSharedFitTest, BatchedDrawsOverSharedInputsMatchOracleDraws) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Families, GpSharedFitTest,
-                         ::testing::Values(KernelFamily::kRbf, KernelFamily::kMatern52,
-                                           KernelFamily::kHamming));
+std::string family_and_lanes(
+    const ::testing::TestParamInfo<std::tuple<KernelFamily, LaneVariant>>& info) {
+  static const char* const kFamilies[] = {"Rbf", "Matern52", "Hamming"};
+  return kFamilies[static_cast<int>(std::get<KernelFamily>(info.param))] +
+         lane_variant_label(std::get<LaneVariant>(info.param));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FamiliesAndLanes, GpSharedFitTest,
+    ::testing::Combine(::testing::Values(KernelFamily::kRbf, KernelFamily::kMatern52,
+                                         KernelFamily::kHamming),
+                       ::testing::ValuesIn(kLaneVariants)),
+    family_and_lanes);
+
+TEST(GpWorkspace, ReuseForSmallerProblemsMatchesAFreshWorkspace) {
+  // One workspace serves a large fit and draw, then a smaller fit and a
+  // draw over fewer points (a pool that is not a multiple of four): every
+  // result must equal the one a fresh workspace gives, so nothing a larger
+  // call left in its buffers leaks into a smaller one.
+  GpConfig config;
+  GpWorkspace reused;
+  const Objectives large = three_objectives(random_rows(37, 4, 2300));
+  const std::vector<GaussianProcess> large_gps =
+      fit_objectives(config, large.x, large.ys, &reused);
+  std::mt19937_64 rng_large(5);
+  ASSERT_EQ(sample_objectives_at(large_gps, random_rows(41, 4, 2301), rng_large, &reused).size(),
+            3u);
+
+  const Objectives small = three_objectives(random_rows(13, 4, 2302));
+  const std::vector<std::vector<double>> pool = random_rows(9, 4, 2303);
+  const std::vector<GaussianProcess> got = fit_objectives(config, small.x, small.ys, &reused);
+  const std::vector<GaussianProcess> want = fit_objectives(config, small.x, small.ys);
+  std::mt19937_64 rng_got(6), rng_want(6);
+  const std::vector<std::vector<double>> drawn = sample_objectives_at(got, pool, rng_got, &reused);
+  const std::vector<std::vector<double>> expected = sample_objectives_at(want, pool, rng_want);
+  for (std::size_t k = 0; k < 3; ++k) {
+    EXPECT_TRUE(same_bits(got[k].log_marginal_likelihood(), want[k].log_marginal_likelihood()))
+        << "objective " << k;
+    ASSERT_EQ(drawn[k].size(), pool.size());
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      EXPECT_TRUE(same_bits(drawn[k][i], expected[k][i])) << "objective " << k << " point " << i;
+    }
+  }
+  EXPECT_EQ(rng_got(), rng_want());
+}
 
 TEST(GpSharedFit, TiedGridPointsKeepTheFirstInGridOrder) {
   // Points 4000 apart: every off-diagonal kernel value underflows to 0 at
@@ -737,6 +789,34 @@ TEST(GpSharedFit, GridPointsWhoseFactorizationFailsAreSkipped) {
     const oracle::Model want = oracle::fit(config, data.x, data.ys[k]);
     ASSERT_TRUE(same_bits(want.hp.length_scale, 3.2));
     expect_matches_oracle(shared[k], want, random_rows(5, 3, 2201), "k=" + std::to_string(k));
+  }
+
+  // Failures inside a run of grid points that share one Gram: Hamming
+  // counts with a 1e-9 tolerance are not transitive. a, b and c below are
+  // each within tolerance of the next while a and c differ, so their block
+  // s^2 [[1, 1, x], [1, 1, 1], [x, 1, 1]] has a negative eigenvalue: the
+  // smaller noises of a (signal, length) run fail to factorize and the
+  // largest succeeds, so the Gram's diagonal must be rewritten from its
+  // saved copy after each failure.
+  std::vector<std::vector<double>> h = random_rows(8, 3, 2202);
+  for (const double a : {0.0, 0.6e-9, 1.2e-9}) h.push_back({a, 0.5, 0.5});
+  const Objectives hamming = three_objectives(h);
+  config.family = KernelFamily::kHamming;
+  const std::vector<GaussianProcess> hamming_fit = fit_objectives(config, hamming.x, hamming.ys);
+  for (std::size_t k = 0; k < 3; ++k) {
+    const oracle::Model want = oracle::fit(config, hamming.x, hamming.ys[k]);
+    for (const double noise : {1e-4, 1e-3, 1e-2}) {
+      GpConfig failing = config;  // the winner's run at a smaller noise
+      failing.tune_hyperparameters = false;
+      failing.signal_variance = want.hp.signal_variance;
+      failing.length_scale = want.hp.length_scale;
+      failing.noise_variance = noise;
+      ASSERT_LT(noise, want.hp.noise_variance);
+      EXPECT_THROW(oracle::fit(failing, hamming.x, hamming.ys[k]), std::domain_error)
+          << "noise " << noise << " must fail in the winner's run";
+    }
+    expect_matches_oracle(hamming_fit[k], want, random_rows(5, 3, 2203),
+                          "hamming k=" + std::to_string(k));
   }
 }
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "lane_variants.hpp"
 #include "matrix_oracles.hpp"
 #include "opt/matrix.hpp"
 
@@ -38,6 +39,17 @@ TEST(Matrix, ConstructionAndAccess) {
   EXPECT_DOUBLE_EQ(m.at(0, 1), -2.0);
   EXPECT_THROW(m.at(2, 0), std::out_of_range);
   EXPECT_THROW(m.at(0, 3), std::out_of_range);
+}
+
+TEST(Matrix, AssignReshapesAndFills) {
+  Matrix m(3, 4, 2.0);
+  m.assign(2, 5, -1.0);
+  EXPECT_EQ(m.rows(), 2u);
+  EXPECT_EQ(m.cols(), 5u);
+  for (double v : m.data()) EXPECT_EQ(v, -1.0);
+  m.assign(4, 4);
+  EXPECT_EQ(m.data().size(), 16u);
+  for (double v : m.data()) EXPECT_EQ(v, 0.0);
 }
 
 TEST(Matrix, FromRowsRejectsRagged) {
@@ -267,7 +279,10 @@ TEST(CholeskyFactor, BlockedSolveLowerMatchesScalarOracleBitForBit) {
   }
 }
 
-TEST(CholeskyFactor, SolveLowerManyMatchesPerColumnSolvesBitForBit) {
+// The blocked solve and factorization tests run once per lane variant.
+class CholeskyLanes : public LaneVariantTest<> {};
+
+TEST_P(CholeskyLanes, SolveLowerManyMatchesPerColumnSolvesBitForBit) {
   // Four right-hand sides per pass over 4-row panels: every column must be
   // the scalar forward substitution of that column alone, for every factor
   // size mod 4 and every right-hand-side count mod 4, and columns past
@@ -302,7 +317,7 @@ TEST(CholeskyFactor, SolveLowerManyMatchesPerColumnSolvesBitForBit) {
   EXPECT_THROW(f.solve_lower_many(b.data(), 1, 2), std::invalid_argument);
 }
 
-TEST(CholeskyFactor, BlockedFactorizeMatchesExtendsOnEveryElement) {
+TEST_P(CholeskyLanes, BlockedFactorizeMatchesExtendsOnEveryElement) {
   // factorize() settles four rows per block; it must equal the factor built
   // by n successive extends (and the dense column-oriented oracle) on every
   // element, for every size mod 4.
@@ -327,7 +342,7 @@ TEST(CholeskyFactor, BlockedFactorizeMatchesExtendsOnEveryElement) {
   }
 }
 
-TEST(CholeskyFactor, BlockedFactorizeFailsOnTheRowExtendsFailsOn) {
+TEST_P(CholeskyLanes, BlockedFactorizeFailsOnTheRowExtendsFailsOn) {
   // A matrix whose row r breaks positive definiteness (a negative diagonal,
   // or a NaN left of it) must make factorize() throw exactly when n extends
   // stop at row r, whatever r's position inside its four-row block; the
@@ -360,6 +375,50 @@ TEST(CholeskyFactor, BlockedFactorizeFailsOnTheRowExtendsFailsOn) {
       }
     }
   }
+}
+
+INSTANTIATE_TEST_SUITE_P(Lanes, CholeskyLanes, ::testing::ValuesIn(kLaneVariants),
+                         [](const auto& info) { return lane_variant_label(info.param); });
+
+TEST(CholeskyFactor, RefactorizeIntoUsedStorageMatchesAFreshFactor) {
+  // A factor reused for a smaller matrix, and again after a failed
+  // factorization, must hold exactly the floats of a fresh factorize().
+  CholeskyFactor reused = CholeskyFactor::factorize(random_spd(23, 1700));
+  for (const std::size_t n : {9u, 14u, 3u}) {
+    const Matrix a = random_spd(n, 1700 + static_cast<unsigned>(n));
+    reused.refactorize(a);
+    const CholeskyFactor fresh = CholeskyFactor::factorize(a);
+    ASSERT_EQ(reused.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j <= i; ++j) {
+        ASSERT_TRUE(same_bits(reused.at(i, j), fresh.at(i, j))) << "n=" << n;
+      }
+    }
+    Matrix broken = a;
+    broken(n - 1, n - 1) = -1.0;
+    EXPECT_THROW(reused.refactorize(broken), std::domain_error);
+    EXPECT_TRUE(reused.empty());
+  }
+  // A failed factorization leaves an empty factor that extends normally.
+  reused.extend({}, 4.0);
+  EXPECT_DOUBLE_EQ(reused.at(0, 0), 2.0);
+}
+
+TEST(CholeskyFactor, AddLowerProductSumsEachRowInAscendingOrder) {
+  const CholeskyFactor f = CholeskyFactor::factorize(random_spd(11, 1800));
+  std::mt19937_64 rng(1801);
+  std::normal_distribution<double> gauss(0.0, 1.0);
+  std::vector<double> z(11), acc(11);
+  for (double& v : z) v = gauss(rng);
+  for (double& v : acc) v = gauss(rng);
+  std::vector<double> expected = acc;
+  for (std::size_t i = 0; i < 11; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) expected[i] += f.at(i, j) * z[j];
+  }
+  f.add_lower_product(z, acc);
+  for (std::size_t i = 0; i < 11; ++i) EXPECT_TRUE(same_bits(acc[i], expected[i])) << i;
+  std::vector<double> short_acc(10);
+  EXPECT_THROW(f.add_lower_product(z, short_acc), std::invalid_argument);
 }
 
 TEST(CholeskyFactor, SolvesMatchFreeFunctions) {

@@ -273,6 +273,45 @@ TEST(Mobo, IncrementalPosteriorMatchesReferenceBitForBit) {
   }
 }
 
+TEST(Mobo, LaneVariantsRunBitIdenticalSearches) {
+  // One search past several tuned refits (the grid search's blocked
+  // factorizations) and Thompson draws (panel solves and covariance tiles)
+  // on each lane variant: the histories must agree bit for bit.
+  const auto search = [] {
+    MoboConfig config;
+    config.num_initial = 7;
+    config.num_iterations = 13;
+    config.pool_size = 37;
+    config.seed = 11;
+    config.refit_period = 4;
+    auto sampler = [](std::mt19937_64& rng) {
+      std::uniform_real_distribution<double> u(0.0, 1.0);
+      return std::vector<double>{u(rng), u(rng), u(rng)};
+    };
+    auto objectives = [](const std::vector<double>& x) {
+      return std::vector<double>{x[0] * x[0] + std::sin(5.0 * x[1]) * 0.3 + x[2],
+                                 (x[0] - 1.0) * (x[0] - 1.0) + x[1] * x[2],
+                                 std::exp(x[2]) - x[0]};
+    };
+    MoboEngine engine(config, 3, sampler, objectives);
+    engine.run();
+    return engine.history();
+  };
+  const LaneVariant before = lane_variant();
+  ASSERT_TRUE(detail::use_lane_variant(LaneVariant::kTwoLane));
+  const std::vector<Observation> two_lane = search();
+  const bool four_lane_runs = detail::use_lane_variant(LaneVariant::kFourLaneAvx2);
+  const std::vector<Observation> four_lane = four_lane_runs ? search() : two_lane;
+  detail::use_lane_variant(before);
+  if (!four_lane_runs) GTEST_SKIP() << "this CPU cannot run the four-lane avx2 kernels";
+  ASSERT_EQ(two_lane.size(), 20u);
+  ASSERT_EQ(four_lane.size(), two_lane.size());
+  for (std::size_t i = 0; i < two_lane.size(); ++i) {
+    EXPECT_EQ(four_lane[i].x, two_lane[i].x) << "evaluation " << i;
+    EXPECT_EQ(four_lane[i].objectives, two_lane[i].objectives) << "evaluation " << i;
+  }
+}
+
 TEST(Mobo, DuplicateIndexSkipsEvaluatedCandidates) {
   // Discrete sampler over 4 points: once some are evaluated, the hashed
   // duplicate index must filter them from the acquisition pool with the
