@@ -274,12 +274,8 @@ int cmd_search(const Args& args) {
 
   if (args.has("resume")) {
     config.warm_start = core::load_genotypes_csv(space, args.get("resume"));
-    std::printf("warm-starting from %zu checkpointed candidates\n", config.warm_start.size());
   }
-  if (args.has("resume-run")) {
-    config.resume_run = args.get("resume-run");
-    std::printf("resuming run state from %s\n", config.resume_run.c_str());
-  }
+  if (args.has("resume-run")) config.resume_run = args.get("resume-run");
   if (args.has("checkpoint")) {
     config.checkpoint.directory = args.get("checkpoint");
     config.checkpoint.period = get_count(args, "checkpoint-period", 10);
@@ -293,6 +289,13 @@ int cmd_search(const Args& args) {
 
   core::NasDriver driver(space, evaluator, accuracy, config);
   const core::NasResult result = driver.run();
+  // Printed once the run has succeeded, so a rejected input prints nothing.
+  if (args.has("resume")) {
+    std::printf("warm-starting from %zu checkpointed candidates\n", config.warm_start.size());
+  }
+  if (args.has("resume-run")) {
+    std::printf("resuming run state from %s\n", config.resume_run.c_str());
+  }
   if (result.interrupted) {
     std::printf("interrupted after %zu evaluations; state saved to %s\n",
                 result.history.size(), config.checkpoint.directory.c_str());
@@ -448,11 +451,7 @@ int cmd_faults(const Args& args) {
   config.retry_jitter = args.get_double("jitter", 0.0);
   if (args.has("cloud-machines")) {
     cloud::CloudConfig cloud;
-    const int machines = args.get_int("cloud-machines", 8);
-    if (machines < 1) {
-      throw std::invalid_argument("--cloud-machines expects a positive count");
-    }
-    cloud.machines = static_cast<std::size_t>(machines);
+    cloud.machines = get_count(args, "cloud-machines", 8);
     cloud.machine.capacity_ms_per_s = args.get_double("cloud-capacity", 4000.0);
     config.cloud = cloud;
     config.faults.machine_failure_rate_hz = 1.0 / 90.0;
@@ -460,11 +459,7 @@ int cmd_faults(const Args& args) {
   } else if (args.has("cloud-capacity")) {
     throw std::invalid_argument("--cloud-capacity requires --cloud-machines");
   }
-  if (args.has("breaker")) {
-    const int failures = args.get_int("breaker", 3);
-    if (failures < 0) throw std::invalid_argument("--breaker expects a count >= 0");
-    config.breaker_failures = static_cast<std::size_t>(failures);
-  }
+  if (args.has("breaker")) config.breaker_failures = get_count(args, "breaker", 3, 0.0);
   if (rig.tiers == 3) {
     // The fog-to-cloud backhaul degrades independently of the radio: its
     // own deep fades and RTT spikes, drawn from disjoint RNG substreams.
@@ -570,11 +565,7 @@ int cmd_fleet(const Args& args) {
   config.sla_ms = args.get_double("sla", 0.0);
   if (args.has("cloud-machines")) {
     cloud::CloudConfig cloud;
-    const int machines = args.get_int("cloud-machines", 64);
-    if (machines < 1) {
-      throw std::invalid_argument("--cloud-machines expects a positive count");
-    }
-    cloud.machines = static_cast<std::size_t>(machines);
+    cloud.machines = get_count(args, "cloud-machines", 64);
     cloud.machine.capacity_ms_per_s = args.get_double("cloud-capacity", 4000.0);
     cloud.policy = parse_policy(args.get("cloud-policy", "greedy"));
     cloud.admit_utilization = args.get_double("admit-util", 0.85);
@@ -590,15 +581,9 @@ int cmd_fleet(const Args& args) {
         "--cloud-machines (the finite-cloud model)");
   }
   if (rig.tiers == 3) {
-    const int regions = args.get_int("regions", 1);
-    if (regions < 1) throw std::invalid_argument("--regions expects a positive count");
-    config.num_regions = static_cast<std::size_t>(regions);
+    config.num_regions = get_count(args, "regions", 1);
     if (args.has("fog-machines")) {
-      const int fog_machines = args.get_int("fog-machines", 4);
-      if (fog_machines < 1) {
-        throw std::invalid_argument("--fog-machines expects a positive count");
-      }
-      config.fog = cloud::fog_site_defaults(static_cast<std::size_t>(fog_machines));
+      config.fog = cloud::fog_site_defaults(get_count(args, "fog-machines", 4));
     }
     if (args.has("region-brownout")) {
       config.region_episodes.push_back(
@@ -717,9 +702,7 @@ int cmd_cloud(const Args& args) {
   config.sla_ms = args.get_double("sla", 300.0);
 
   cloud::CloudConfig cloud;
-  const int machines = args.get_int("machines", 16);
-  if (machines < 1) throw std::invalid_argument("--machines expects a positive count");
-  cloud.machines = static_cast<std::size_t>(machines);
+  cloud.machines = get_count(args, "machines", 16);
   cloud.machine.capacity_ms_per_s = args.get_double("capacity", 4000.0);
   cloud.admit_utilization = args.get_double("admit-util", 0.85);
   config.cloud_faults.seed = static_cast<unsigned>(config.seed);
@@ -848,9 +831,12 @@ int run_command(const Args& args) {
     // Worker budget for the lens::par pool: --threads beats LENS_THREADS
     // beats hardware detection. Results are identical for any setting.
     if (args.has("threads")) {
-      const int threads = args.get_int("threads", 0);
-      if (threads < 1) throw std::invalid_argument("--threads expects a positive integer");
-      par::set_max_threads(static_cast<std::size_t>(threads));
+      const std::size_t threads = get_count(args, "threads", 0);
+      if (threads > par::kMaxThreads) {
+        throw std::invalid_argument("--threads must be at most " +
+                                    std::to_string(par::kMaxThreads));
+      }
+      par::set_max_threads(threads);
     }
     const std::string& command = args.command();
     if (command == "evaluate") return cmd_evaluate(args);

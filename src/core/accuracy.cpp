@@ -56,17 +56,4 @@ double SurrogateAccuracyModel::test_error_percent(const Genotype& genotype,
   return std::clamp(error, config_.min_error, config_.max_error);
 }
 
-double CachedAccuracyModel::test_error_percent(const Genotype& genotype,
-                                               const dnn::Architecture& arch) const {
-  const auto it = cache_.find(genotype);
-  if (it != cache_.end()) {
-    ++hits_;
-    return it->second;
-  }
-  ++misses_;
-  const double error = inner_.test_error_percent(genotype, arch);
-  cache_.emplace(genotype, error);
-  return error;
-}
-
 }  // namespace lens::core

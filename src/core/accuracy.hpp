@@ -9,7 +9,6 @@
 // stochasticity. A real from-scratch trainer (lens::nn +
 // core::TrainedAccuracyEvaluator) covers the end-to-end path at small scale.
 
-#include <map>
 #include <random>
 
 #include "core/search_space.hpp"
@@ -60,28 +59,6 @@ class SurrogateAccuracyModel final : public AccuracyModel {
 
  private:
   SurrogateAccuracyConfig config_;
-};
-
-/// Memoizing decorator: caches per-genotype results of an underlying model.
-/// Worth wrapping around TrainedAccuracyEvaluator (minutes per miss) when
-/// portfolio planning re-queries genotypes; safe for any deterministic
-/// model. Not thread-safe.
-class CachedAccuracyModel final : public AccuracyModel {
- public:
-  /// `inner` must outlive this object.
-  explicit CachedAccuracyModel(const AccuracyModel& inner) : inner_(inner) {}
-
-  double test_error_percent(const Genotype& genotype,
-                            const dnn::Architecture& arch) const override;
-
-  std::size_t hits() const { return hits_; }
-  std::size_t misses() const { return misses_; }
-
- private:
-  const AccuracyModel& inner_;
-  mutable std::map<Genotype, double> cache_;
-  mutable std::size_t hits_ = 0;
-  mutable std::size_t misses_ = 0;
 };
 
 }  // namespace lens::core

@@ -50,13 +50,6 @@ FrontComparison compare_fronts(const opt::ParetoFront& a, const opt::ParetoFront
 std::size_t count_satisfying(const std::vector<EvaluatedCandidate>& history,
                              const std::function<bool(const EvaluatedCandidate&)>& predicate);
 
-/// Search-convergence curve: hypervolume of the 2-D (a, b) front after each
-/// evaluation, against `reference`. Monotone non-decreasing by construction;
-/// the standard way to compare search strategies' sample efficiency.
-std::vector<double> convergence_curve(const std::vector<EvaluatedCandidate>& history,
-                                      Objective a, Objective b,
-                                      const std::vector<double>& reference);
-
 /// Knee-point selection: the front member minimizing the normalized
 /// distance to the ideal point (component-wise minimum over the front).
 /// The standard way to pick "the" model from a Pareto set when no explicit

@@ -55,9 +55,9 @@ std::vector<std::vector<double>> NasDriver::evaluate_batch(
   });
 
   // Stage 2 — serial: the accuracy model is not required to be thread-safe
-  // (e.g. CachedAccuracyModel, TrainedAccuracyEvaluator), so it is queried
-  // in first-appearance order and the cache inserts happen here too. After
-  // this loop the cache is read-only for the rest of the call.
+  // (e.g. TrainedAccuracyEvaluator), so it is queried in first-appearance
+  // order and the cache inserts happen here too. After this loop the cache
+  // is read-only for the rest of the call.
   for (std::size_t i = 0; i < missing.size(); ++i) {
     CacheEntry entry;
     entry.name = fresh[i].arch->name();

@@ -48,14 +48,4 @@ double log1p_feature(double v) {
   return std::log1p(v);
 }
 
-std::vector<double> with_pairwise_products(const std::vector<double>& x) {
-  std::vector<double> out = x;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    for (std::size_t j = i; j < x.size(); ++j) {
-      out.push_back(x[i] * x[j]);
-    }
-  }
-  return out;
-}
-
 }  // namespace lens::ml

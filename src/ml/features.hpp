@@ -33,8 +33,4 @@ class FeatureScaler {
 /// log(1 + v) transform for heavy-tailed features (sizes, FLOP counts).
 double log1p_feature(double v);
 
-/// Expand a feature vector with pairwise products (degree-2 interaction
-/// terms, no squares of the bias). Keeps the original features first.
-std::vector<double> with_pairwise_products(const std::vector<double>& x);
-
 }  // namespace lens::ml

@@ -29,15 +29,6 @@ double r2_score(const std::vector<double>& y_true, const std::vector<double>& y_
   return 1.0 - ss_res / ss_tot;
 }
 
-double rmse(const std::vector<double>& y_true, const std::vector<double>& y_pred) {
-  check_sizes(y_true, y_pred);
-  double acc = 0.0;
-  for (std::size_t i = 0; i < y_true.size(); ++i) {
-    acc += (y_true[i] - y_pred[i]) * (y_true[i] - y_pred[i]);
-  }
-  return std::sqrt(acc / static_cast<double>(y_true.size()));
-}
-
 double mape(const std::vector<double>& y_true, const std::vector<double>& y_pred, double eps) {
   check_sizes(y_true, y_pred);
   double acc = 0.0;

@@ -12,9 +12,6 @@ namespace lens::ml {
 /// perfect fit; can be negative for fits worse than the mean predictor.
 double r2_score(const std::vector<double>& y_true, const std::vector<double>& y_pred);
 
-/// Root-mean-squared error.
-double rmse(const std::vector<double>& y_true, const std::vector<double>& y_pred);
-
 /// Mean absolute percentage error (%); entries with |y_true| < eps are skipped.
 double mape(const std::vector<double>& y_true, const std::vector<double>& y_pred,
             double eps = 1e-9);

@@ -45,10 +45,7 @@ void RooflineRegression::fit(const std::vector<double>& flops,
     for (std::size_t i = 0; i < n; ++i) {
       assigned_compute[i] = flops[i] * u >= bytes[i] * v;
     }
-    if (iteration > 0 && assigned_compute == previous) {
-      iterations_used_ = iteration;
-      break;
-    }
+    if (iteration > 0 && assigned_compute == previous) break;
     previous = assigned_compute;
 
     // Joint least squares over [compute_work, memory_work, 1] where exactly
@@ -85,26 +82,12 @@ void RooflineRegression::fit(const std::vector<double>& flops,
     u = std::max(solution[0], 1e-18);
     v = std::max(solution[1], 1e-18);
     c = std::max(solution[2], 0.0);
-    iterations_used_ = iteration + 1;
   }
 
   inv_compute_rate_ = u;
   inv_memory_rate_ = v;
   overhead_ = c;
   fitted_ = true;
-}
-
-RooflineRegression RooflineRegression::from_params(double compute_rate, double memory_rate,
-                                                   double overhead) {
-  if (compute_rate <= 0.0 || memory_rate <= 0.0 || overhead < 0.0) {
-    throw std::invalid_argument("RooflineRegression::from_params: invalid parameters");
-  }
-  RooflineRegression model;
-  model.inv_compute_rate_ = 1.0 / compute_rate;
-  model.inv_memory_rate_ = 1.0 / memory_rate;
-  model.overhead_ = overhead;
-  model.fitted_ = true;
-  return model;
 }
 
 double RooflineRegression::predict(double flops, double bytes) const {

@@ -27,10 +27,6 @@ class RooflineRegression {
   void fit(const std::vector<double>& flops, const std::vector<double>& bytes,
            const std::vector<double>& latency);
 
-  /// Reconstruct a fitted model from its parameters (deserialization).
-  static RooflineRegression from_params(double compute_rate, double memory_rate,
-                                        double overhead);
-
   /// Predicted latency for one (flops, bytes) pair.
   double predict(double flops, double bytes) const;
 
@@ -43,7 +39,6 @@ class RooflineRegression {
   /// Effective memory rate (bytes per latency-unit), i.e. 1/v.
   double memory_rate() const { return 1.0 / inv_memory_rate_; }
   double overhead() const { return overhead_; }
-  int iterations_used() const { return iterations_used_; }
 
  private:
   RooflineConfig config_;
@@ -51,7 +46,6 @@ class RooflineRegression {
   double inv_compute_rate_ = 0.0;
   double inv_memory_rate_ = 0.0;
   double overhead_ = 0.0;
-  int iterations_used_ = 0;
 };
 
 }  // namespace lens::ml

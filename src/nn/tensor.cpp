@@ -1,6 +1,5 @@
 #include "nn/tensor.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace lens::nn {
@@ -33,7 +32,5 @@ Tensor Tensor::reshaped(int n, int h, int w, int c) const {
   out.data_ = data_;
   return out;
 }
-
-void Tensor::fill(float value) { std::fill(data_.begin(), data_.end(), value); }
 
 }  // namespace lens::nn

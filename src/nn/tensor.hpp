@@ -40,8 +40,6 @@ class Tensor {
   /// value types here and small).
   Tensor reshaped(int n, int h, int w, int c) const;
 
-  void fill(float value);
-
  private:
   int n_ = 0, h_ = 0, w_ = 0, c_ = 0;
   std::vector<float> data_;

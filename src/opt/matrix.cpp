@@ -18,12 +18,6 @@ Matrix Matrix::from_rows(const std::vector<std::vector<double>>& rows) {
   return m;
 }
 
-Matrix Matrix::identity(std::size_t n) {
-  Matrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
 double Matrix::at(std::size_t r, std::size_t c) const {
   if (r >= rows_ || c >= cols_) throw std::out_of_range("Matrix::at: index out of range");
   return (*this)(r, c);
@@ -63,15 +57,6 @@ Matrix Matrix::transposed() const {
   return out;
 }
 
-Matrix Matrix::add(const Matrix& rhs) const {
-  if (rows_ != rhs.rows_ || cols_ != rhs.cols_) {
-    throw std::invalid_argument("Matrix::add: shape mismatch");
-  }
-  Matrix out(rows_, cols_);
-  for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] = data_[i] + rhs.data_[i];
-  return out;
-}
-
 void Matrix::assign(std::size_t rows, std::size_t cols, double fill) {
   rows_ = rows;
   cols_ = cols;
@@ -81,12 +66,6 @@ void Matrix::assign(std::size_t rows, std::size_t cols, double fill) {
 void Matrix::add_diagonal(double value) {
   const std::size_t n = rows_ < cols_ ? rows_ : cols_;
   for (std::size_t i = 0; i < n; ++i) (*this)(i, i) += value;
-}
-
-double Matrix::frobenius_norm() const {
-  double acc = 0.0;
-  for (double v : data_) acc += v * v;
-  return std::sqrt(acc);
 }
 
 namespace {

@@ -26,9 +26,6 @@ class Matrix {
   /// Create from nested initializer-style data; all rows must be equal length.
   static Matrix from_rows(const std::vector<std::vector<double>>& rows);
 
-  /// Identity matrix of size n.
-  static Matrix identity(std::size_t n);
-
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   bool empty() const { return data_.empty(); }
@@ -53,9 +50,6 @@ class Matrix {
   /// Transpose.
   Matrix transposed() const;
 
-  /// Elementwise sum; shapes must match.
-  Matrix add(const Matrix& rhs) const;
-
   /// Reshape to rows x cols with every entry `fill`, reusing the storage.
   void assign(std::size_t rows, std::size_t cols, double fill = 0.0);
 
@@ -64,9 +58,6 @@ class Matrix {
 
   /// Add `value` to every diagonal element (jitter / ridge term).
   void add_diagonal(double value);
-
-  /// Frobenius norm.
-  double frobenius_norm() const;
 
  private:
   std::size_t rows_ = 0;

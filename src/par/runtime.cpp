@@ -18,7 +18,9 @@ std::size_t env_threads() {
   if (env == nullptr || *env == '\0') return 0;
   try {
     const long value = std::stol(env);
-    if (value >= 1) return static_cast<std::size_t>(value);
+    if (value >= 1 && static_cast<unsigned long>(value) <= kMaxThreads) {
+      return static_cast<std::size_t>(value);
+    }
   } catch (const std::exception&) {
     // Malformed LENS_THREADS: fall through to hardware detection.
   }

@@ -3,7 +3,8 @@
 //
 // Thread-count resolution order (first match wins):
 //   1. set_max_threads(n) with n >= 1 — the CLI's --threads flag;
-//   2. the LENS_THREADS environment variable (positive integer);
+//   2. the LENS_THREADS environment variable (an integer in [1, kMaxThreads];
+//      any other value is ignored);
 //   3. std::thread::hardware_concurrency() (at least 1).
 //
 // global_pool() lazily builds one ThreadPool of max_threads() workers and
@@ -17,6 +18,11 @@
 
 namespace lens::par {
 
+/// Largest thread budget accepted: far above the core count of any machine
+/// this runs on, and small enough that a typo cannot start millions of OS
+/// threads.
+inline constexpr std::size_t kMaxThreads = 1024;
+
 /// std::thread::hardware_concurrency(), never less than 1.
 std::size_t hardware_threads();
 
@@ -24,7 +30,8 @@ std::size_t hardware_threads();
 std::size_t max_threads();
 
 /// Override the thread budget (0 clears the override, restoring
-/// LENS_THREADS / hardware detection).
+/// LENS_THREADS / hardware detection). Callers keep n <= kMaxThreads; the
+/// CLI rejects a larger --threads.
 void set_max_threads(std::size_t n);
 
 /// The shared pool, sized to max_threads().

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
-#include <iomanip>
-#include <sstream>
 #include <stdexcept>
 
 #include "par/substream.hpp"
@@ -177,60 +174,6 @@ RooflinePredictor RooflinePredictor::train(const DeviceSimulator& simulator,
 
     predictor.models_.emplace(kind, std::move(models));
     predictor.validation_.emplace(kind, v);
-  }
-  return predictor;
-}
-
-namespace {
-constexpr const char* kPredictorMagic = "lens-roofline-predictor v1";
-
-std::string kind_tag(dnn::LayerKind kind) { return dnn::kind_name(kind); }
-
-dnn::LayerKind kind_from_tag(const std::string& tag) {
-  if (tag == "conv") return dnn::LayerKind::kConv;
-  if (tag == "pool") return dnn::LayerKind::kMaxPool;
-  if (tag == "fc") return dnn::LayerKind::kDense;
-  throw std::invalid_argument("RooflinePredictor::load: unknown layer kind '" + tag + "'");
-}
-}  // namespace
-
-void RooflinePredictor::save(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("RooflinePredictor::save: cannot open " + path);
-  out << kPredictorMagic << "\n" << std::setprecision(17);
-  for (const auto& [kind, m] : models_) {
-    out << kind_tag(kind) << ' ' << m.latency.compute_rate() << ' '
-        << m.latency.memory_rate() << ' ' << m.latency.overhead() << ' '
-        << m.compute_bound_power_mw << ' ' << m.memory_bound_power_mw << "\n";
-  }
-  if (!out) throw std::runtime_error("RooflinePredictor::save: write failed for " + path);
-}
-
-RooflinePredictor RooflinePredictor::load(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("RooflinePredictor::load: cannot open " + path);
-  std::string line;
-  if (!std::getline(in, line) || line != kPredictorMagic) {
-    throw std::invalid_argument("RooflinePredictor::load: bad header in " + path);
-  }
-  RooflinePredictor predictor;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::istringstream row(line);
-    std::string tag;
-    double compute_rate = 0.0;
-    double memory_rate = 0.0;
-    double overhead = 0.0;
-    KindModels models;
-    if (!(row >> tag >> compute_rate >> memory_rate >> overhead >>
-          models.compute_bound_power_mw >> models.memory_bound_power_mw)) {
-      throw std::invalid_argument("RooflinePredictor::load: malformed row: " + line);
-    }
-    models.latency = ml::RooflineRegression::from_params(compute_rate, memory_rate, overhead);
-    predictor.models_.emplace(kind_from_tag(tag), std::move(models));
-  }
-  if (predictor.models_.empty()) {
-    throw std::invalid_argument("RooflinePredictor::load: no models in " + path);
   }
   return predictor;
 }

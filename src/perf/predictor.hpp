@@ -108,16 +108,6 @@ class RooflinePredictor final : public LayerPerformanceModel {
     return validation_;
   }
 
-  /// Persist the trained models to a small text file (profile once on the
-  /// target board, ship the predictor with the app). Throws
-  /// std::runtime_error on I/O failure.
-  void save(const std::string& path) const;
-
-  /// Load a predictor saved by save(). Validation metrics are not persisted
-  /// (validation() is empty on a loaded predictor). Throws
-  /// std::runtime_error / std::invalid_argument on bad files.
-  static RooflinePredictor load(const std::string& path);
-
  private:
   struct KindModels {
     ml::RooflineRegression latency;

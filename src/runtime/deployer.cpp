@@ -58,58 +58,6 @@ std::optional<std::size_t> cheapest_edge_only(std::span<const core::DeploymentOp
   return best;
 }
 
-namespace {
-
-/// Does the option ship anything over hop `h`? Hand-built legacy options may
-/// lack the per-hop byte vector; they describe a single radio hop.
-bool uses_hop(const core::DeploymentOption& o, std::size_t h) {
-  if (!o.hop_tx_bytes.empty()) return h < o.hop_tx_bytes.size() && o.hop_tx_bytes[h] > 0;
-  return h == 0 && o.tx_bytes > 0;
-}
-
-/// All layers on tiers 0..max_tier — equivalently, no hop >= max_tier used.
-bool confined_to(const core::DeploymentOption& o, std::size_t max_tier) {
-  const std::size_t num_hops = o.hop_tx_bytes.empty() ? 1 : o.hop_tx_bytes.size();
-  for (std::size_t h = max_tier; h < num_hops; ++h) {
-    if (uses_hop(o, h)) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-std::optional<std::size_t> DynamicDeployer::cheapest_confined(std::size_t max_tier) const {
-  std::optional<std::size_t> best;
-  double best_cost = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < options_.size(); ++i) {
-    if (!confined_to(options_[i], max_tier)) continue;
-    // Confined options may still use hops below max_tier, so rank at the
-    // pessimistic floor the threshold analysis covers.
-    const double cost = curves_[i].value(tu_min_);
-    if (cost < best_cost) {
-      best_cost = cost;
-      best = i;
-    }
-  }
-  return best;
-}
-
-std::size_t DynamicDeployer::select_hop_unreachable(std::size_t down_hop) const {
-  for (std::size_t max_tier = down_hop + 1; max_tier-- > 0;) {
-    if (const auto pick = cheapest_confined(max_tier)) return *pick;
-  }
-  throw std::logic_error(
-      "select_hop_unreachable: option set has no member below the dead hop");
-}
-
-std::size_t DynamicDeployer::select_cloud_unreachable() const {
-  if (!edge_only_.has_value()) {
-    throw std::logic_error(
-        "select_cloud_unreachable: option set has no edge-only member");
-  }
-  return *edge_only_;
-}
-
 std::size_t DynamicDeployer::select(double tu_mbps) const {
   return select_option(intervals_, effective_tu(tu_mbps));
 }

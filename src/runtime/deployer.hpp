@@ -146,23 +146,6 @@ class DynamicDeployer {
   /// this is precomputed once.
   std::optional<std::size_t> cheapest_edge_only() const { return edge_only_; }
 
-  /// Forced all-edge selection for when the cloud is unreachable (every
-  /// transmitting option would only time out). Throws std::logic_error
-  /// when the option set has no edge-only member.
-  std::size_t select_cloud_unreachable() const;
-
-  /// Cheapest option whose layers all live on tiers 0..max_tier (so it uses
-  /// no hop >= max_tier), ranked at the analyzed pessimistic floor tu_min.
-  /// max_tier 0 is the edge-only query.
-  std::optional<std::size_t> cheapest_confined(std::size_t max_tier) const;
-
-  /// Tier-ladder fallback: hop `down_hop` is unreachable, so walk down the
-  /// hierarchy — first the cheapest option confined to tiers 0..down_hop,
-  /// then 0..down_hop-1, ... down to edge-only. Throws std::logic_error when
-  /// even the edge-only rung is missing. select_cloud_unreachable() is the
-  /// hop-0 rung of this ladder.
-  std::size_t select_hop_unreachable(std::size_t down_hop) const;
-
   /// Thresholds partitioning the throughput axis (design-time output the
   /// runtime switcher consults).
   const std::vector<DominanceInterval>& intervals() const { return intervals_; }

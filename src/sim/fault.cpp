@@ -352,18 +352,6 @@ bool FaultInjector::cloud_unavailable(double t_s) const {
   return false;
 }
 
-double FaultInjector::cloud_recovery_time(double t_s) const {
-  double t = t_s;
-  // Chained windows: recovering into another outage keeps pushing forward.
-  // Starts are sorted and t only grows, so once an episode starts past t no
-  // later one can cover it.
-  for (const FaultEpisode& e : live(FaultClass::kCloudOutage, t_s)) {
-    if (e.start_s > t) break;
-    if (e.covers(t)) t = e.end_s;
-  }
-  return t;
-}
-
 double FaultInjector::rtt_extra_ms(double t_s, std::size_t hop) const {
   double extra = 0.0;
   for (const FaultEpisode& e : live(FaultClass::kRttSpike, t_s)) {

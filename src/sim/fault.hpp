@@ -219,9 +219,6 @@ class FaultInjector {
   /// device radio — the default keeps legacy two-tier call sites intact.
   double link_factor(double t_s, std::size_t hop = 0) const;
   bool cloud_unavailable(double t_s) const;
-  /// Earliest time >= t_s at which the cloud is reachable (t_s itself when
-  /// it already is).
-  double cloud_recovery_time(double t_s) const;
   /// Added round-trip milliseconds on hop `hop` at `t_s` (0 when healthy).
   double rtt_extra_ms(double t_s, std::size_t hop = 0) const;
   /// Edge service-time multiplier at `t_s` (>= 1.0; 1.0 when healthy).

@@ -107,23 +107,6 @@ TEST(Surrogate, RejectsNegativeOrNonFiniteNoise) {
   EXPECT_NO_THROW(SurrogateAccuracyModel(SurrogateAccuracyConfig{.noise_std = 0.0}));
 }
 
-TEST_F(SurrogateTest, CachedDecoratorMemoizes) {
-  std::mt19937_64 rng(6);
-  const Genotype g = space_.random(rng);
-  const dnn::Architecture arch = space_.decode(g);
-  const CachedAccuracyModel cached(model_);
-  const double first = cached.test_error_percent(g, arch);
-  const double second = cached.test_error_percent(g, arch);
-  EXPECT_DOUBLE_EQ(first, second);
-  EXPECT_DOUBLE_EQ(first, model_.test_error_percent(g, arch));
-  EXPECT_EQ(cached.misses(), 1u);
-  EXPECT_EQ(cached.hits(), 1u);
-  // A different genotype misses again.
-  const Genotype h = space_.random(rng);
-  cached.test_error_percent(h, space_.decode(h));
-  EXPECT_EQ(cached.misses(), 2u);
-}
-
 TEST_F(SurrogateTest, ErrorLandscapeHasUsefulSpread) {
   // The search needs a non-degenerate error objective: across random
   // samples the spread should be large relative to the noise.

@@ -9,7 +9,6 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
-#include <memory>
 #include <random>
 #include <sstream>
 #include <string>
@@ -17,13 +16,10 @@
 
 #include <gtest/gtest.h>
 
-#include "comm/trace_io.hpp"
 #include "core/export.hpp"
 #include "core/nas.hpp"
 #include "core/run_checkpoint.hpp"
 #include "io/io.hpp"
-#include "nn/checkpoint.hpp"
-#include "nn/dense.hpp"
 #include "opt/mobo.hpp"
 #include "perf/predictor.hpp"
 #include "runtime/threshold_io.hpp"
@@ -215,20 +211,6 @@ TEST(FramedContainer, RoundTripFormatCheckAndCorruption) {
 
 // ---- every persisted format rejects truncation at every byte offset ----------
 
-TEST(TruncationSweep, TraceCsv) {
-  const std::string path = temp_path("trace_sweep.csv");
-  comm::ThroughputTrace trace;
-  trace.interval_s = 0.5;
-  trace.samples_mbps = {2.5, 7.25, 3.125};
-  comm::save_trace_csv(trace, path);
-  // Sanity: the intact file round-trips.
-  EXPECT_EQ(comm::load_trace_csv(path).samples_mbps, trace.samples_mbps);
-  expect_rejects_every_truncation(path, [](const std::string& p) {
-    return comm::load_trace_csv(p);
-  });
-  std::remove(path.c_str());
-}
-
 TEST(TruncationSweep, SwitchingTable) {
   const std::string path = temp_path("table_sweep.txt");
   runtime::SwitchingTable table;
@@ -239,20 +221,6 @@ TEST(TruncationSweep, SwitchingTable) {
   EXPECT_EQ(runtime::load_switching_table(path).option_labels, table.option_labels);
   expect_rejects_every_truncation(path, [](const std::string& p) {
     return runtime::load_switching_table(p);
-  });
-  std::remove(path.c_str());
-}
-
-TEST(TruncationSweep, NetworkWeights) {
-  const std::string path = temp_path("weights_sweep.txt");
-  std::mt19937_64 rng(7);
-  nn::Sequential net;
-  net.add(std::make_unique<nn::Dense>(3, 2, rng));
-  nn::save_weights(net, path);
-  nn::load_weights(net, path);  // intact file round-trips
-  expect_rejects_every_truncation(path, [&net](const std::string& p) {
-    nn::load_weights(net, p);
-    return 0;
   });
   std::remove(path.c_str());
 }

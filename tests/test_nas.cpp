@@ -167,19 +167,6 @@ TEST_F(NasTest, CountSatisfyingCriteria) {
   EXPECT_LE(low_both, low_error);
 }
 
-TEST_F(NasTest, ConvergenceCurveIsMonotone) {
-  NasDriver driver(space_, evaluator_, accuracy_,
-                   small_config(ObjectiveMode::kBestDeployment, 31));
-  const NasResult result = driver.run();
-  const std::vector<double> curve = convergence_curve(
-      result.history, kErrorObjective, kEnergyObjective, {70.0, 3000.0});
-  ASSERT_EQ(curve.size(), result.history.size());
-  for (std::size_t i = 1; i < curve.size(); ++i) {
-    EXPECT_GE(curve[i], curve[i - 1] - 1e-9);
-  }
-  EXPECT_GT(curve.back(), 0.0);
-}
-
 TEST_F(NasTest, KneePointIsBalancedFrontMember) {
   opt::ParetoFront front;
   front.insert(0, {0.0, 10.0});   // extreme in objective 1

@@ -13,8 +13,10 @@
 #include <vector>
 
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <set>
+#include <string>
 
 #include "core/nas.hpp"
 #include "par/parallel.hpp"
@@ -287,6 +289,21 @@ TEST(Runtime, MaxThreadsOverride) {
   EXPECT_EQ(par::global_pool().size(), 3u);
   par::set_max_threads(0);
   EXPECT_EQ(par::max_threads(), before);
+}
+
+TEST(Runtime, ThreadBudgetIsBounded) {
+  // Reads the resolved budget only; no pool is built at the bound.
+  const char* saved = std::getenv("LENS_THREADS");
+  const std::string restore = saved == nullptr ? "" : saved;
+  setenv("LENS_THREADS", std::to_string(par::kMaxThreads + 1).c_str(), 1);
+  EXPECT_EQ(par::max_threads(), par::hardware_threads());  // ignored, as a malformed value
+  setenv("LENS_THREADS", std::to_string(par::kMaxThreads).c_str(), 1);
+  EXPECT_EQ(par::max_threads(), par::kMaxThreads);
+  if (saved == nullptr) {
+    unsetenv("LENS_THREADS");
+  } else {
+    setenv("LENS_THREADS", restore.c_str(), 1);
+  }
 }
 
 // --- End-to-end determinism: 1-thread vs 4-thread searches are bit-identical.

@@ -1,9 +1,6 @@
 // Tests for device profiles, the roofline simulator, the profiler sweeps,
 // and the trained regression predictors.
 
-#include <cstdio>
-#include <fstream>
-
 #include <gtest/gtest.h>
 
 #include "dnn/presets.hpp"
@@ -204,50 +201,6 @@ TEST(Predictor, PredictionsArePositiveAndOrdered) {
   EXPECT_GT(small.latency_ms, 0.0);
   EXPECT_GT(big.latency_ms, small.latency_ms);
   EXPECT_GT(small.power_mw, 0.0);
-}
-
-TEST(Predictor, SaveLoadRoundTrip) {
-  const DeviceSimulator sim(jetson_tx2_gpu());
-  const RooflinePredictor trained =
-      RooflinePredictor::train(sim, {.samples_per_kind = 200, .seed = 9});
-  const std::string path = std::string(::testing::TempDir()) + "/predictor.txt";
-  trained.save(path);
-  const RooflinePredictor loaded = RooflinePredictor::load(path);
-  // Identical predictions for representative layers of every kind.
-  const std::pair<dnn::LayerSpec, dnn::TensorShape> probes[] = {
-      {dnn::LayerSpec::conv(96, 5), {27, 27, 96}},
-      {dnn::LayerSpec::max_pool(3, 2), {55, 55, 96}},
-      {dnn::LayerSpec::dense(4096), {1, 1, 9216}},
-  };
-  for (const auto& [layer, input] : probes) {
-    const LayerMeasurement a = trained.predict(layer, input);
-    const LayerMeasurement b = loaded.predict(layer, input);
-    EXPECT_NEAR(a.latency_ms, b.latency_ms, 1e-9 * a.latency_ms);
-    EXPECT_NEAR(a.power_mw, b.power_mw, 1e-9 * a.power_mw);
-  }
-  EXPECT_TRUE(loaded.validation().empty());  // metrics are not persisted
-  std::remove(path.c_str());
-}
-
-TEST(Predictor, LoadRejectsBadFiles) {
-  EXPECT_THROW(RooflinePredictor::load("/nonexistent/predictor.txt"), std::runtime_error);
-  const std::string path = std::string(::testing::TempDir()) + "/bad_predictor.txt";
-  {
-    std::ofstream out(path);
-    out << "not a predictor\n";
-  }
-  EXPECT_THROW(RooflinePredictor::load(path), std::invalid_argument);
-  {
-    std::ofstream out(path);
-    out << "lens-roofline-predictor v1\nconv garbage\n";
-  }
-  EXPECT_THROW(RooflinePredictor::load(path), std::invalid_argument);
-  {
-    std::ofstream out(path);
-    out << "lens-roofline-predictor v1\n";
-  }
-  EXPECT_THROW(RooflinePredictor::load(path), std::invalid_argument);  // no models
-  std::remove(path.c_str());
 }
 
 TEST(Predictor, AlexNetTotalsCloseToGroundTruth) {

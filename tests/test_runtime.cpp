@@ -337,16 +337,14 @@ TEST_F(DeployerTest, HysteresisBoundsFlappingOnOutageTraces) {
   EXPECT_LE(damped.total_cost, plain.total_cost * 1.1 + 1e-9);
 }
 
-TEST_F(DeployerTest, CloudUnreachableForcesCheapestEdgeOnly) {
+TEST_F(DeployerTest, CheapestEdgeOnlyIsTheAllEdgeOption) {
   const DynamicDeployer deployer(options_, comm_, OptimizeFor::kEnergy);
   ASSERT_TRUE(deployer.cheapest_edge_only().has_value());
   EXPECT_EQ(*deployer.cheapest_edge_only(), 2u);  // the All-Edge option
-  EXPECT_EQ(deployer.select_cloud_unreachable(), 2u);
-  // An option set with no edge-only member cannot degrade gracefully.
+  // An option set with no edge-only member has none to fall back to.
   const std::vector<core::DeploymentOption> cloud_only = {options_[0], options_[1]};
   const DynamicDeployer stuck(cloud_only, comm_, OptimizeFor::kEnergy);
   EXPECT_FALSE(stuck.cheapest_edge_only().has_value());
-  EXPECT_THROW(stuck.select_cloud_unreachable(), std::logic_error);
 }
 
 // End-to-end runtime scenario on the real AlexNet options: the paper's

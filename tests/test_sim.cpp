@@ -722,8 +722,6 @@ TEST(FaultInjector, ScriptedQueriesAndDegradedTime) {
   EXPECT_DOUBLE_EQ(faults.link_factor(3.0), 1.0);  // half-open interval
   EXPECT_FALSE(faults.cloud_unavailable(1.9));
   EXPECT_TRUE(faults.cloud_unavailable(2.0));
-  EXPECT_DOUBLE_EQ(faults.cloud_recovery_time(3.0), 4.0);
-  EXPECT_DOUBLE_EQ(faults.cloud_recovery_time(5.0), 5.0);
   EXPECT_DOUBLE_EQ(faults.rtt_extra_ms(11.0), 150.0);
   EXPECT_DOUBLE_EQ(faults.rtt_extra_ms(12.5), 0.0);
   EXPECT_DOUBLE_EQ(faults.edge_slowdown(20.5), 2.5);
@@ -768,14 +766,6 @@ class LinearFaultQueries {
       if (e.covers(t_s)) return true;
     }
     return false;
-  }
-
-  double cloud_recovery_time(double t_s) const {
-    double t = t_s;
-    for (const FaultEpisode& e : of(FaultClass::kCloudOutage)) {
-      if (e.covers(t)) t = e.end_s;
-    }
-    return t;
   }
 
   double rtt_extra_ms(double t_s, std::size_t hop) const {
@@ -861,12 +851,11 @@ class LinearFaultQueries {
   std::vector<FaultEpisode> by_class_[kNumFaultClasses];
 };
 
-/// All eleven queries of `faults` against the oracle at `t_s`, on every hop
+/// All ten queries of `faults` against the oracle at `t_s`, on every hop
 /// below `hops` (the hop-free queries once).
 void expect_queries_match(const FaultInjector& faults, const LinearFaultQueries& oracle,
                           double t_s, std::size_t hops) {
   EXPECT_EQ(faults.cloud_unavailable(t_s), oracle.cloud_unavailable(t_s)) << "t " << t_s;
-  EXPECT_EQ(faults.cloud_recovery_time(t_s), oracle.cloud_recovery_time(t_s)) << "t " << t_s;
   EXPECT_EQ(faults.edge_slowdown(t_s), oracle.edge_slowdown(t_s)) << "t " << t_s;
   EXPECT_EQ(faults.machine_failure_fraction(t_s), oracle.machine_failure_fraction(t_s))
       << "t " << t_s;

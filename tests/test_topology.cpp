@@ -435,91 +435,20 @@ TEST_F(TopologyTest, MultiTierErrorPaths) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-hop threshold machinery and the switching surface.
+// Runtime selection on a K-tier plan.
 // ---------------------------------------------------------------------------
 
-TEST_F(TopologyTest, CollapsedCurvesAndPerHopCrossovers) {
-  const DeploymentEvaluator evaluator(three_tier());
-  const DeploymentPlan plan = evaluator.compile(dnn::alexnet());
-  const std::vector<double> pinned{1.0, 50.0};
-  const std::vector<comm::CostCurve> collapsed =
-      runtime::collapse_curves(plan.latency_surfaces(), 0, pinned);
-  ASSERT_EQ(collapsed.size(), plan.num_options());
-  for (std::size_t i = 0; i < plan.num_options(); ++i) {
-    const comm::CostCurve direct = plan.latency_surfaces()[i].collapse(0, pinned);
-    EXPECT_EQ(collapsed[i].constant, direct.constant);
-    EXPECT_EQ(collapsed[i].per_inverse_tu, direct.per_inverse_tu);
-  }
-  // crossover_tu_hop == crossover_tu of the collapsed pair.
-  for (std::size_t i = 0; i + 1 < plan.num_options(); ++i) {
-    const auto via_hop = runtime::crossover_tu_hop(
-        plan.latency_surfaces()[i], plan.latency_surfaces()[i + 1], 0, pinned);
-    const auto via_collapse = runtime::crossover_tu(collapsed[i], collapsed[i + 1]);
-    ASSERT_EQ(via_hop.has_value(), via_collapse.has_value()) << "pair " << i;
-    if (via_hop) {
-      EXPECT_DOUBLE_EQ(*via_hop, *via_collapse) << "pair " << i;
-    }
-  }
-}
-
-TEST_F(TopologyTest, SwitchingSurfaceSelectsCheapestOption) {
-  const DeploymentEvaluator evaluator(three_tier());
-  const DeploymentPlan plan = evaluator.compile(dnn::alexnet());
-  const auto& surfaces = plan.latency_surfaces();
-  const runtime::SwitchingSurface surface =
-      runtime::switching_surface(surfaces, 0.05, 500.0, 1.0, 400.0, 6);
-  ASSERT_EQ(surface.backhaul_tus_mbps.size(), 6u);
-  ASSERT_EQ(surface.rows.size(), 6u);
-
-  const double probes[] = {0.07, 0.5, 3.0, 20.0, 150.0, 480.0};
-  for (double t1 : surface.backhaul_tus_mbps) {
-    const std::vector<double> pinned{1.0, t1};
-    for (double t0 : probes) {
-      const std::size_t chosen = surface.select(t0, t1);
-      ASSERT_LT(chosen, surfaces.size());
-      const double chosen_cost = surfaces[chosen].collapse(0, pinned).value(t0);
-      double best_cost = chosen_cost;
-      for (const comm::MultiHopCurve& s : surfaces) {
-        best_cost = std::min(best_cost, s.collapse(0, pinned).value(t0));
-      }
-      EXPECT_LE(chosen_cost, best_cost + 1e-9 * std::max(1.0, best_cost))
-          << "t0=" << t0 << " t1=" << t1;
-    }
-  }
-}
-
-TEST_F(TopologyTest, SwitchingSurfaceValidation) {
-  const DeploymentEvaluator two_tier(edge_, wifi_);
-  const DeploymentPlan plan = two_tier.compile(dnn::alexnet());
-  // One-hop surfaces have no backhaul axis to condition on.
-  EXPECT_THROW(runtime::switching_surface(plan.latency_surfaces(), 0.05, 500.0, 1.0,
-                                          400.0, 6),
-               std::invalid_argument);
-  EXPECT_THROW(runtime::switching_surface({}, 0.05, 500.0, 1.0, 400.0, 6),
-               std::invalid_argument);
-  const DeploymentEvaluator three(three_tier());
-  const DeploymentPlan three_plan = three.compile(dnn::alexnet());
-  const auto& surfaces = three_plan.latency_surfaces();
-  EXPECT_THROW(runtime::switching_surface(surfaces, 0.05, 500.0, 1.0, 400.0, 1),
-               std::invalid_argument);
-  EXPECT_THROW(runtime::switching_surface(surfaces, 5.0, 5.0, 1.0, 400.0, 6),
-               std::invalid_argument);
-}
-
-TEST_F(TopologyTest, TierLadderFallback) {
+TEST_F(TopologyTest, CheapestEdgeOnlyOnThreeTierPlan) {
   const DeploymentEvaluator evaluator(three_tier());
   const DeploymentPlan plan = evaluator.compile(dnn::alexnet());
   const runtime::DynamicDeployer deployer(plan, runtime::OptimizeFor::kLatency,
                                           {3.0, 40.0});
   ASSERT_TRUE(deployer.cheapest_edge_only().has_value());
-  // Rung 0 of the ladder is exactly the edge-only query.
-  EXPECT_EQ(deployer.cheapest_confined(0), deployer.cheapest_edge_only());
-  EXPECT_EQ(deployer.select_hop_unreachable(0), deployer.select_cloud_unreachable());
-  EXPECT_EQ(deployer.options()[deployer.select_hop_unreachable(0)].tx_bytes, 0u);
-  // With the backhaul down, the selection must not use hop 1.
-  const std::size_t confined = deployer.select_hop_unreachable(1);
-  ASSERT_EQ(deployer.options()[confined].hop_tx_bytes.size(), 2u);
-  EXPECT_EQ(deployer.options()[confined].hop_tx_bytes[1], 0u);
+  const core::DeploymentOption& edge = deployer.options()[*deployer.cheapest_edge_only()];
+  EXPECT_EQ(edge.tx_bytes, 0u);
+  ASSERT_EQ(edge.hop_tx_bytes.size(), 2u);
+  EXPECT_EQ(edge.hop_tx_bytes[0], 0u);
+  EXPECT_EQ(edge.hop_tx_bytes[1], 0u);
 }
 
 // ---------------------------------------------------------------------------
