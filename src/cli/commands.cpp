@@ -1,8 +1,9 @@
 #include "cli/commands.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <memory>
+#include <optional>
 #include <stdexcept>
 
 #include "core/analysis.hpp"
@@ -26,119 +27,53 @@ namespace lens::cli {
 
 namespace {
 
-comm::WirelessTechnology parse_tech(const std::string& name) {
-  if (name == "wifi") return comm::WirelessTechnology::kWifi;
-  if (name == "lte") return comm::WirelessTechnology::kLte;
-  if (name == "3g") return comm::WirelessTechnology::k3G;
-  throw std::invalid_argument("unknown --tech '" + name + "' (wifi|lte|3g)");
+/// --device and --fog-device: the alternatives, in the order of kProfiles.
+constexpr const char* kDevices = "tx2-gpu|tx2-cpu|embedded-cpu|datacenter-gpu";
+perf::DeviceProfile (*const kProfiles[])() = {perf::jetson_tx2_gpu, perf::jetson_tx2_cpu,
+                                             perf::embedded_cpu, perf::datacenter_gpu};
+
+perf::RooflinePredictor train(const perf::DeviceProfile& device) {
+  return perf::RooflinePredictor::train(perf::DeviceSimulator(device),
+                                        {.samples_per_kind = 400, .seed = 11});
 }
 
-perf::DeviceProfile parse_device(const std::string& name) {
-  if (name == "tx2-gpu") return perf::jetson_tx2_gpu();
-  if (name == "tx2-cpu") return perf::jetson_tx2_cpu();
-  if (name == "embedded-cpu") return perf::embedded_cpu();
-  if (name == "datacenter-gpu") return perf::datacenter_gpu();
-  throw std::invalid_argument("unknown device '" + name +
-                              "' (tx2-gpu|tx2-cpu|embedded-cpu|datacenter-gpu)");
+dnn::Architecture preset(const Options& args) {
+  return args.choice("arch") == 0 ? dnn::alexnet() : dnn::vgg16();  // alexnet|vgg16
 }
 
-dnn::Architecture parse_arch(const std::string& name) {
-  if (name == "alexnet") return dnn::alexnet();
-  if (name == "vgg16") return dnn::vgg16();
-  throw std::invalid_argument("unknown --arch '" + name + "' (alexnet|vgg16)");
+/// --brownout start,duration,depth: a share of the cloud pool's capacity
+/// lost, in (0, 1].
+sim::FaultEpisode brownout(const std::vector<double>& f) {
+  return {sim::FaultClass::kRegionalBrownout, f[0], f[0] + f[1], f[2]};
 }
 
-cloud::PlacementPolicy parse_policy(const std::string& name) {
-  if (name == "greedy") return cloud::PlacementPolicy::kGreedyFirstFit;
-  if (name == "energy") return cloud::PlacementPolicy::kEnergyBestFit;
-  throw std::invalid_argument("unknown --cloud-policy '" + name + "' (greedy|energy)");
-}
-
-/// True for a whole number in [lo, 2^53], the range where every integer is
-/// exactly representable; NaN and infinities fail. Checked before any cast,
-/// since converting a non-finite or out-of-range double is undefined.
-bool is_whole(double value, double lo) {
-  return value >= lo && value <= 9007199254740992.0 && value == std::floor(value);
-}
-
-/// A count of at least `lo` (positive unless stated) given as a number
-/// ("1e6" reads as 1000000); rejects fractions, NaN and values past 2^53.
-std::size_t get_count(const Args& args, const std::string& key, double fallback,
-                      double lo = 1.0) {
-  const double value = args.get_double(key, fallback);
-  if (!is_whole(value, lo)) {
-    throw std::invalid_argument("--" + key + (lo > 0.0 ? " must be a positive whole count"
-                                                       : " must be a whole count >= 0"));
-  }
-  return static_cast<std::size_t>(value);
-}
-
-/// Parse "--brownout start,duration,depth" into a scripted regional-brownout
-/// episode (depth = capacity fraction lost, in (0, 1]).
-sim::FaultEpisode parse_brownout(const Args& args) {
-  const std::vector<double> fields = args.get_doubles("brownout");
-  if (fields.size() != 3) {
-    throw std::invalid_argument(
-        "--brownout expects start,duration,depth (seconds, seconds, capacity "
-        "fraction lost in (0,1])");
-  }
-  sim::FaultEpisode episode;
-  episode.fault = sim::FaultClass::kRegionalBrownout;
-  episode.start_s = fields[0];
-  episode.end_s = fields[0] + fields[1];
-  episode.magnitude = fields[2];
-  return episode;
-}
-
-/// Parse "--region-brownout region,start,duration,depth" into a scripted
-/// backhaul brownout on hop 1 of that one region (depth = fraction of the
-/// hop's throughput lost, in (0, 1) — a full loss is an outage).
-fleet::RegionEpisode parse_region_brownout(const Args& args, std::size_t num_regions) {
-  const std::vector<double> fields = args.get_doubles("region-brownout");
-  if (fields.size() != 4) {
-    throw std::invalid_argument(
-        "--region-brownout expects region,start,duration,depth (region index, "
-        "seconds, seconds, backhaul throughput fraction lost in (0,1))");
-  }
-  if (!is_whole(fields[0], 0.0) || fields[0] >= static_cast<double>(num_regions)) {
+/// --region-brownout region,start,duration,depth: a backhaul brownout on
+/// hop 1 of one region (a share of the hop's throughput lost, in (0, 1); a
+/// full loss is an outage).
+fleet::RegionEpisode region_brownout(const std::vector<double>& f, std::size_t num_regions) {
+  if (!(f[0] >= 0.0 && f[0] < static_cast<double>(num_regions) && f[0] == std::floor(f[0]))) {
     throw std::invalid_argument(
         "--region-brownout region index must be a whole number in [0, --regions)");
   }
-  fleet::RegionEpisode re;
-  re.region = static_cast<std::uint32_t>(fields[0]);
-  re.episode.fault = sim::FaultClass::kBackhaulBrownout;
-  re.episode.hop = 1;
-  re.episode.start_s = fields[1];
-  re.episode.end_s = fields[1] + fields[2];
-  re.episode.magnitude = fields[3];
-  return re;
+  return {static_cast<std::uint32_t>(f[0]),
+          {sim::FaultClass::kBackhaulBrownout, f[1], f[1] + f[2], f[3], 1}};
 }
 
 struct Rig {
-  perf::DeviceSimulator simulator;
   perf::RooflinePredictor predictor;
   comm::CommModel comm;
   std::string tech_name;
+  std::string device_name;
   /// 2 (classic edge-cloud) or 3 (edge-fog-cloud preset).
   std::size_t tiers = 2;
-  /// Fog-node performance model for --tiers 3; heap-held so TierSpec's
-  /// non-owning pointer stays valid across Rig moves.
-  std::shared_ptr<perf::RooflinePredictor> fog_predictor{};
-  std::string fog_name{};
+  /// Fog-node performance model for --tiers 3.
+  std::optional<perf::RooflinePredictor> fog_predictor;
   /// Pricing throughputs, one per hop (radio first). {tu} for two-tier.
-  std::vector<double> hop_tu{};
+  std::vector<double> hop_tu;
 
-  /// Per-command --tu defaults differ (search prices at the paper's 3 Mbps,
-  /// the serving commands at 10), so the caller passes its own.
-  static Rig from_args(const Args& args, double default_tu = 3.0) {
-    perf::DeviceSimulator sim(parse_device(args.get("device", "tx2-gpu")));
-    perf::RooflinePredictor predictor =
-        perf::RooflinePredictor::train(sim, {.samples_per_kind = 400, .seed = 11});
-    const comm::WirelessTechnology tech = parse_tech(args.get("tech", "wifi"));
-    comm::CommModel comm(tech, args.get_double("rtt", 5.0));
-    Rig rig{std::move(sim), std::move(predictor), comm, technology_name(tech)};
-
-    const int tiers = args.get_int("tiers", 2);
+  /// Checks the hierarchy and throughputs, then trains the predictors.
+  static Rig from_options(const Options& args) {
+    const std::size_t tiers = args.count("tiers");
     if (tiers == 1) {
       throw std::invalid_argument(
           "--tiers 1 leaves nothing to partition; use --tiers 2 (edge-cloud) "
@@ -148,48 +83,38 @@ struct Rig {
       throw std::invalid_argument("--tiers supports the built-in presets 2 and 3, got " +
                                   std::to_string(tiers));
     }
-    rig.tiers = static_cast<std::size_t>(tiers);
-    if (args.has("fog-device") && rig.tiers != 3) {
-      throw std::invalid_argument("--fog-device only applies to --tiers 3");
-    }
-    if (rig.tiers == 3) {
-      rig.fog_name = args.get("fog-device", "datacenter-gpu");
-      perf::DeviceSimulator fog_sim(parse_device(rig.fog_name));
-      rig.fog_predictor = std::make_shared<perf::RooflinePredictor>(
-          perf::RooflinePredictor::train(fog_sim, {.samples_per_kind = 400, .seed = 11}));
-    }
-
     // Throughputs must be positive and finite; NaN fails too.
     const auto valid_mbps = [](double mbps) { return mbps > 0.0 && std::isfinite(mbps); };
-    const double tu = args.get_double("tu", default_tu);
+    const double tu = args.number("tu");
     if (!valid_mbps(tu)) {
       throw std::invalid_argument("--tu must be a positive, finite throughput in Mbps");
     }
+    // Default backhaul: 10x the radio — wired fog-to-cloud links dwarf the
+    // device's wireless hop. Override with --hop-bw.
+    std::vector<double> hop_tu = {tu};
+    if (tiers == 3) hop_tu.push_back(10.0 * tu);
     if (args.has("hop-bw")) {
-      if (args.has("tu")) {
+      hop_tu = args.list("hop-bw");
+      if (hop_tu.size() != tiers - 1) {
         throw std::invalid_argument(
-            "--hop-bw already sets the radio throughput (first entry); drop --tu");
-      }
-      const std::vector<double> hops = args.get_doubles("hop-bw");
-      if (hops.size() != rig.tiers - 1) {
-        throw std::invalid_argument(
-            "--hop-bw expects " + std::to_string(rig.tiers - 1) +
+            "--hop-bw expects " + std::to_string(tiers - 1) +
             " comma-separated Mbps values (one per hop, radio first) for --tiers " +
-            std::to_string(rig.tiers) + ", got " + std::to_string(hops.size()));
+            std::to_string(tiers) + ", got " + std::to_string(hop_tu.size()));
       }
-      for (double mbps : hops) {
-        if (!valid_mbps(mbps)) {
-          throw std::invalid_argument("--hop-bw throughputs must be positive, finite Mbps");
-        }
+      if (!std::all_of(hop_tu.begin(), hop_tu.end(), valid_mbps)) {
+        throw std::invalid_argument("--hop-bw throughputs must be positive, finite Mbps");
       }
-      rig.hop_tu = hops;
-    } else {
-      rig.hop_tu = {tu};
-      // Default backhaul: 10x the radio — wired fog-to-cloud links dwarf
-      // the device's wireless hop. Override with --hop-bw.
-      if (rig.tiers == 3) rig.hop_tu.push_back(10.0 * tu);
     }
-    return rig;
+    const comm::WirelessTechnology techs[] = {  // --tech wifi|lte|3g
+        comm::WirelessTechnology::kWifi, comm::WirelessTechnology::kLte,
+        comm::WirelessTechnology::k3G};
+    const comm::WirelessTechnology tech = techs[args.choice("tech")];
+    const comm::CommModel comm(tech, args.number("rtt"));
+    const perf::DeviceProfile device = kProfiles[args.choice("device")]();
+    std::optional<perf::RooflinePredictor> fog;
+    if (tiers == 3) fog = train(kProfiles[args.choice("fog-device")]());
+    return {train(device), comm, technology_name(tech), device.name, tiers, std::move(fog),
+            std::move(hop_tu)};
   }
 
   /// Evaluator over the configured hierarchy: the paper's edge-cloud pair
@@ -203,20 +128,18 @@ struct Rig {
   }
 };
 
-int cmd_evaluate(const Args& args) {
-  args.expect_known({"arch", "tu", "tech", "rtt", "device", "summary", "threads", "tiers",
-                     "fog-device", "hop-bw"});
-  Rig rig = Rig::from_args(args, 3.0);
-  const dnn::Architecture arch = parse_arch(args.get("arch", "alexnet"));
-  if (args.get_bool("summary")) std::printf("%s\n", dnn::summary(arch).c_str());
+int cmd_evaluate(const Options& args) {
+  Rig rig = Rig::from_options(args);
+  const dnn::Architecture arch = preset(args);
+  if (args.flag("summary")) std::printf("%s\n", dnn::summary(arch).c_str());
 
-  const core::DeploymentEvaluator evaluator = rig.make_evaluator();
-  const core::DeploymentEvaluation result = evaluator.compile(arch).price(rig.hop_tu);
+  const core::DeploymentPlan plan = rig.make_evaluator().compile(arch);
+  const core::DeploymentEvaluation result = plan.price(rig.hop_tu);
   std::printf("%s @ %.1f Mbps %s (RTT %.0f ms, %s", arch.name().c_str(), rig.hop_tu[0],
-              rig.tech_name.c_str(), rig.comm.round_trip_ms(),
-              rig.simulator.profile().name.c_str());
+              rig.tech_name.c_str(), rig.comm.round_trip_ms(), rig.device_name.c_str());
   if (rig.tiers == 3) {
-    std::printf("; fog %s, backhaul %.1f Mbps", rig.fog_name.c_str(), rig.hop_tu[1]);
+    std::printf("; fog %s, backhaul %.1f Mbps", args.text("fog-device").c_str(),
+                rig.hop_tu[1]);
   }
   std::printf(")\n");
   std::printf("%-20s %12s %12s %12s\n", "option", "latency(ms)", "energy(mJ)", "tx bytes");
@@ -229,62 +152,43 @@ int cmd_evaluate(const Args& args) {
               result.energy_choice().label(arch).c_str());
   if (rig.tiers == 3) {
     const core::DeploymentOption& choice = result.latency_choice();
-    std::printf("%s\n", viz::tier_diagram(evaluator.topology().tier_names(), choice.cuts,
-                                          arch.num_layers(), choice.hop_tx_bytes)
+    std::printf("%s\n", viz::tier_diagram(plan.tier_names(), choice.cuts, arch.num_layers(),
+                                          choice.hop_tx_bytes)
                             .c_str());
   }
   return 0;
 }
 
-int cmd_search(const Args& args) {
-  args.expect_known({"iterations", "initial", "tu", "tech", "rtt", "device", "seed", "mode",
-                     "strategy", "out", "front-out", "resume", "threads", "checkpoint",
-                     "checkpoint-period", "checkpoint-keep", "resume-run", "tiers",
-                     "fog-device", "hop-bw"});
-  Rig rig = Rig::from_args(args, 3.0);
+int cmd_search(const Options& args) {
+  Rig rig = Rig::from_options(args);
   const core::DeploymentEvaluator evaluator = rig.make_evaluator();
   const core::SearchSpace space;
   const core::SurrogateAccuracyModel accuracy;
 
   core::NasConfig config;
-  config.mobo.num_iterations = get_count(args, "iterations", 60, 0.0);
-  config.mobo.num_initial = get_count(args, "initial", 12);
-  config.mobo.seed = static_cast<unsigned>(args.get_int("seed", 1));
+  config.mobo.num_iterations = args.count("iterations");
+  config.mobo.num_initial = args.count("initial");
+  config.mobo.seed = static_cast<unsigned>(args.count("seed"));
   config.nsga2.seed = config.mobo.seed;
   config.tu_mbps = rig.hop_tu[0];
   if (rig.tiers == 3) config.hop_tu_mbps = rig.hop_tu;
-  const std::string mode = args.get("mode", "lens");
-  if (mode == "lens") {
-    config.mode = core::ObjectiveMode::kBestDeployment;
-  } else if (mode == "traditional") {
-    config.mode = core::ObjectiveMode::kAllEdgeOnly;
-  } else {
-    throw std::invalid_argument("unknown --mode '" + mode + "' (lens|traditional)");
-  }
-  const std::string strategy = args.get("strategy", "mobo");
-  if (strategy == "mobo") {
-    config.strategy = core::SearchStrategy::kMobo;
-  } else if (strategy == "nsga2") {
-    config.strategy = core::SearchStrategy::kNsga2;
-  } else if (strategy == "random") {
-    config.strategy = core::SearchStrategy::kRandom;
-  } else {
-    throw std::invalid_argument("unknown --strategy '" + strategy + "' (mobo|nsga2|random)");
-  }
+  config.mode = args.choice("mode") == 0 ? core::ObjectiveMode::kBestDeployment  // lens
+                                             : core::ObjectiveMode::kAllEdgeOnly;   // traditional
+  const core::SearchStrategy strategies[] = {  // mobo|nsga2|random
+      core::SearchStrategy::kMobo, core::SearchStrategy::kNsga2, core::SearchStrategy::kRandom};
+  config.strategy = strategies[args.choice("strategy")];
 
   if (args.has("resume")) {
-    config.warm_start = core::load_genotypes_csv(space, args.get("resume"));
+    config.warm_start = core::load_genotypes_csv(space, args.text("resume"));
   }
-  if (args.has("resume-run")) config.resume_run = args.get("resume-run");
+  if (args.has("resume-run")) config.resume_run = args.text("resume-run");
   if (args.has("checkpoint")) {
-    config.checkpoint.directory = args.get("checkpoint");
-    config.checkpoint.period = get_count(args, "checkpoint-period", 10);
-    config.checkpoint.keep = get_count(args, "checkpoint-keep", 3);
+    config.checkpoint.directory = args.text("checkpoint");
+    config.checkpoint.period = args.count("checkpoint-period");
+    config.checkpoint.keep = args.count("checkpoint-keep");
     // SIGINT/SIGTERM flush the in-flight checkpoint chunk instead of
     // killing the process mid-write.
     core::install_interrupt_flush_handler();
-  } else if (args.has("checkpoint-period") || args.has("checkpoint-keep")) {
-    throw std::invalid_argument("--checkpoint-period/--checkpoint-keep require --checkpoint");
   }
 
   core::NasDriver driver(space, evaluator, accuracy, config);
@@ -312,99 +216,86 @@ int cmd_search(const Args& args) {
   const opt::ParetoPoint& knee = core::knee_point(result.front);
   std::printf("knee point: %s\n", result.history[knee.id].name.c_str());
   if (args.has("out")) {
-    core::save_history_csv(result, space, args.get("out"));
-    std::printf("history written to %s\n", args.get("out").c_str());
+    core::save_history_csv(result, space, args.text("out"));
+    std::printf("history written to %s\n", args.text("out").c_str());
   }
   if (args.has("front-out")) {
-    core::save_front_csv(result, space, args.get("front-out"));
-    std::printf("frontier written to %s\n", args.get("front-out").c_str());
+    core::save_front_csv(result, space, args.text("front-out"));
+    std::printf("frontier written to %s\n", args.text("front-out").c_str());
   }
   return result.interrupted ? 130 : 0;
 }
 
-int cmd_thresholds(const Args& args) {
-  args.expect_known({"arch", "tech", "rtt", "device", "metric", "tu", "save", "threads",
-                     "tiers", "fog-device", "hop-bw"});
-  Rig rig = Rig::from_args(args, 10.0);
-  const dnn::Architecture arch = parse_arch(args.get("arch", "alexnet"));
-  const core::DeploymentEvaluator evaluator = rig.make_evaluator();
+/// --metric latency|energy.
+runtime::OptimizeFor metric(const Options& args) {
+  return args.choice("metric") == 0 ? runtime::OptimizeFor::kLatency
+                                       : runtime::OptimizeFor::kEnergy;
+}
+
+int cmd_thresholds(const Options& args) {
+  Rig rig = Rig::from_options(args);
+  const dnn::Architecture arch = preset(args);
   // One compile serves both the printed evaluation and the deployer curves.
-  const core::DeploymentPlan plan = evaluator.compile(arch);
+  const core::DeploymentPlan plan = rig.make_evaluator().compile(arch);
   const core::DeploymentEvaluation eval = plan.price(rig.hop_tu);
-  const std::string metric_name = args.get("metric", "energy");
-  runtime::OptimizeFor metric;
-  if (metric_name == "energy") {
-    metric = runtime::OptimizeFor::kEnergy;
-  } else if (metric_name == "latency") {
-    metric = runtime::OptimizeFor::kLatency;
-  } else {
-    throw std::invalid_argument("unknown --metric '" + metric_name + "' (latency|energy)");
-  }
-  const runtime::DynamicDeployer deployer(plan, metric, rig.hop_tu, 0.05, 500.0);
+  const runtime::DynamicDeployer deployer(plan, metric(args), rig.hop_tu, 0.05, 500.0);
   if (rig.tiers == 3) {
     std::printf("(backhaul pinned at %.1f Mbps; thresholds are over the radio hop)\n",
                 rig.hop_tu[1]);
   }
-  std::printf("%s-optimal deployment vs uplink throughput (%s):\n", metric_name.c_str(),
-              arch.name().c_str());
+  std::printf("%s-optimal deployment vs uplink throughput (%s):\n",
+              args.text("metric").c_str(), arch.name().c_str());
   for (const runtime::DominanceInterval& iv : deployer.intervals()) {
     std::printf("  t_u in [%7.2f, %7.2f) Mbps -> %s\n", iv.tu_low, iv.tu_high,
                 eval.options[iv.option_index].label(arch).c_str());
   }
   if (args.has("save")) {
     runtime::SwitchingTable table;
-    table.metric = metric;
+    table.metric = metric(args);
     for (const core::DeploymentOption& o : eval.options) {
       table.option_labels.push_back(o.label(arch));
     }
     table.intervals = deployer.intervals();
-    runtime::save_switching_table(table, args.get("save"));
+    runtime::save_switching_table(table, args.text("save"));
     std::printf("switching table written to %s (ship this to the device)\n",
-                args.get("save").c_str());
+                args.text("save").c_str());
   }
   return 0;
 }
 
-int cmd_simulate(const Args& args) {
-  args.expect_known({"arch", "tech", "rtt", "device", "rate", "duration", "policy", "tu",
-                     "deadline", "threads", "tiers", "fog-device", "hop-bw"});
-  Rig rig = Rig::from_args(args, 10.0);
-  const dnn::Architecture arch = parse_arch(args.get("arch", "alexnet"));
-  const core::DeploymentEvaluator evaluator = rig.make_evaluator();
-  const double tu = rig.hop_tu[0];
-  const core::DeploymentPlan plan = evaluator.compile(arch);
+/// The event simulator's load and hierarchy: simulate and faults.
+sim::SimConfig sim_config(const Options& args, const Rig& rig) {
+  sim::SimConfig config;
+  config.arrival_rate_hz = args.number("rate");
+  config.duration_s = args.number("duration");
+  if (rig.tiers == 3) config.backhaul_tu_mbps = {rig.hop_tu[1]};
+  return config;
+}
+
+int cmd_simulate(const Options& args) {
+  Rig rig = Rig::from_options(args);
+  const dnn::Architecture arch = preset(args);
+  const core::DeploymentPlan plan = rig.make_evaluator().compile(arch);
   const core::DeploymentEvaluation eval = plan.price(rig.hop_tu);
 
-  sim::SimConfig config;
-  config.arrival_rate_hz = args.get_double("rate", 10.0);
-  config.duration_s = args.get_double("duration", 60.0);
-  config.deadline_ms = args.get_double("deadline", 0.0);
-  if (rig.tiers == 3) config.backhaul_tu_mbps = {rig.hop_tu[1]};
-  const std::string policy = args.get("policy", "queue-aware");
-  if (policy == "queue-aware") {
-    config.policy = sim::DispatchPolicy::kQueueAware;
-  } else if (policy == "dynamic") {
-    config.policy = sim::DispatchPolicy::kDynamic;
-  } else if (policy == "best-latency") {
-    config.policy = sim::DispatchPolicy::kFixed;
-    config.fixed_option = eval.best_latency_option;
-  } else if (policy == "all-edge") {
-    config.policy = sim::DispatchPolicy::kFixed;
-    for (std::size_t i = 0; i < eval.options.size(); ++i) {
-      if (eval.options[i].kind == core::DeploymentKind::kAllEdge) config.fixed_option = i;
-    }
-  } else {
-    throw std::invalid_argument("unknown --policy '" + policy +
-                                "' (queue-aware|dynamic|best-latency|all-edge)");
+  sim::SimConfig config = sim_config(args, rig);
+  config.deadline_ms = args.number("deadline");
+  // --policy queue-aware|dynamic|best-latency|all-edge: the last two pin one option.
+  using sim::DispatchPolicy;
+  const std::size_t policy = args.choice("policy");
+  const DispatchPolicy policies[] = {DispatchPolicy::kQueueAware, DispatchPolicy::kDynamic,
+                                     DispatchPolicy::kFixed, DispatchPolicy::kFixed};
+  config.policy = policies[policy];
+  if (policy == 2) config.fixed_option = eval.best_latency_option;
+  for (std::size_t i = 0; policy == 3 && i < eval.options.size(); ++i) {
+    if (eval.options[i].kind == core::DeploymentKind::kAllEdge) config.fixed_option = i;
   }
 
-  comm::ThroughputTrace trace;
-  trace.samples_mbps = {tu};
-  trace.interval_s = 1000.0;
+  const comm::ThroughputTrace trace{{rig.hop_tu[0]}, 1000.0};
   sim::EdgeCloudSystem system(plan, trace, config);
   const sim::SimStats stats = system.run();
   std::printf("%zu requests over %.0f s at %.1f req/s (%s policy)\n", stats.completed,
-              config.duration_s, config.arrival_rate_hz, policy.c_str());
+              config.duration_s, config.arrival_rate_hz, args.text("policy").c_str());
   std::printf("latency ms: mean %.1f | p50 %.1f | p95 %.1f | p99 %.1f | max %.1f\n",
               stats.mean_latency_ms, stats.p50_latency_ms, stats.p95_latency_ms,
               stats.p99_latency_ms, stats.max_latency_ms);
@@ -418,12 +309,9 @@ int cmd_simulate(const Args& args) {
   return 0;
 }
 
-int cmd_faults(const Args& args) {
-  args.expect_known({"arch", "tech", "rtt", "device", "tu", "rate", "duration", "seed",
-                     "timeout", "retries", "threads", "tiers", "fog-device", "hop-bw",
-                     "cloud-machines", "cloud-capacity", "jitter", "breaker"});
-  Rig rig = Rig::from_args(args, 10.0);
-  const dnn::Architecture arch = parse_arch(args.get("arch", "alexnet"));
+int cmd_faults(const Options& args) {
+  Rig rig = Rig::from_options(args);
+  const dnn::Architecture arch = preset(args);
   const double tu = rig.hop_tu[0];
   const core::DeploymentEvaluator evaluator = rig.make_evaluator();
   const core::DeploymentPlan plan = evaluator.compile(arch);
@@ -432,12 +320,10 @@ int cmd_faults(const Args& args) {
   // Serving-time check: inject stochastic faults of all four classes and
   // compare graceful degradation (dynamic dispatch + edge fallback) against
   // a fixed best-latency pin that must ride out every outage.
-  sim::SimConfig config;
-  config.arrival_rate_hz = args.get_double("rate", 10.0);
-  config.duration_s = args.get_double("duration", 60.0);
-  config.seed = static_cast<unsigned>(args.get_int("seed", 1));
-  config.timeout_ms = args.get_double("timeout", 500.0);
-  config.max_retries = get_count(args, "retries", 2, 0.0);
+  sim::SimConfig config = sim_config(args, rig);
+  config.seed = static_cast<unsigned>(args.count("seed"));
+  config.timeout_ms = args.number("timeout");
+  config.max_retries = args.count("retries");
   config.faults.seed = config.seed;
   config.faults.link_outage_rate_hz = 1.0 / 40.0;
   config.faults.link_outage_mean_s = 5.0;
@@ -448,32 +334,24 @@ int cmd_faults(const Args& args) {
   // Finite-cloud serving: a bounded machine pool behind the partition point
   // (admission control sheds what the pool cannot absorb), plus the
   // retry-storm-safety knobs — jittered backoff and the circuit breaker.
-  config.retry_jitter = args.get_double("jitter", 0.0);
+  config.retry_jitter = args.number("jitter");
+  config.breaker_failures = args.count("breaker");
   if (args.has("cloud-machines")) {
     cloud::CloudConfig cloud;
-    cloud.machines = get_count(args, "cloud-machines", 8);
-    cloud.machine.capacity_ms_per_s = args.get_double("cloud-capacity", 4000.0);
+    cloud.machines = args.count("cloud-machines");
+    cloud.machine.capacity_ms_per_s = args.number("cloud-capacity");
     config.cloud = cloud;
     config.faults.machine_failure_rate_hz = 1.0 / 90.0;
     config.faults.brownout_rate_hz = 1.0 / 70.0;
-  } else if (args.has("cloud-capacity")) {
-    throw std::invalid_argument("--cloud-capacity requires --cloud-machines");
   }
-  if (args.has("breaker")) config.breaker_failures = get_count(args, "breaker", 3, 0.0);
   if (rig.tiers == 3) {
     // The fog-to-cloud backhaul degrades independently of the radio: its
     // own deep fades and RTT spikes, drawn from disjoint RNG substreams.
-    config.backhaul_tu_mbps = {rig.hop_tu[1]};
-    sim::HopFaultConfig backhaul;
-    backhaul.outage_rate_hz = 1.0 / 50.0;
-    backhaul.outage_mean_s = 6.0;
-    backhaul.rtt_spike_rate_hz = 1.0 / 70.0;
-    config.faults.extra_hops = {backhaul};
+    config.faults.extra_hops = {
+        {.outage_rate_hz = 1.0 / 50.0, .outage_mean_s = 6.0, .rtt_spike_rate_hz = 1.0 / 70.0}};
   }
 
-  comm::ThroughputTrace trace;
-  trace.samples_mbps = {tu};
-  trace.interval_s = 1000.0;
+  const comm::ThroughputTrace trace{{tu}, 1000.0};
   // A system validates its configuration on construction: every option is
   // checked before the first line of output.
   (void)sim::EdgeCloudSystem(plan, trace, config);
@@ -535,65 +413,48 @@ int cmd_faults(const Args& args) {
   return 0;
 }
 
-int cmd_fleet(const Args& args) {
-  args.expect_known({"arch", "tech", "rtt", "device", "metric", "tu", "devices", "steps",
-                     "step-s", "seed", "margin", "qps", "csv", "threads", "tiers",
-                     "fog-device", "hop-bw", "cloud-machines", "cloud-capacity",
-                     "cloud-policy", "admit-util", "sla", "brownout", "regions",
-                     "fog-machines", "region-brownout"});
-  Rig rig = Rig::from_args(args, 10.0);
-  const dnn::Architecture arch = parse_arch(args.get("arch", "alexnet"));
-  const core::DeploymentEvaluator evaluator = rig.make_evaluator();
-  const core::DeploymentPlan plan = evaluator.compile(arch);
-
+/// The fleet options `fleet` and `cloud` share.
+fleet::FleetConfig fleet_config(const Options& args, const Rig& rig) {
   fleet::FleetConfig config;
-  config.devices = get_count(args, "devices", 100000);
-  config.steps = get_count(args, "steps", 64);
-  config.step_s = args.get_double("step-s", 300.0);
-  config.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  config.hysteresis_margin = args.get_double("margin", 0.05);
-  config.device_qps = args.get_double("qps", 1.0);
+  config.devices = args.count("devices");
+  config.steps = args.count("steps");
+  config.step_s = args.number("step-s");
+  config.seed = args.count("seed");
+  config.device_qps = args.number("qps");
+  config.sla_ms = args.number("sla");
   config.trace.mean_mbps = rig.hop_tu[0];
-  const std::string metric_name = args.get("metric", "latency");
-  if (metric_name == "energy") {
-    config.metric = runtime::OptimizeFor::kEnergy;
-  } else if (metric_name == "latency") {
-    config.metric = runtime::OptimizeFor::kLatency;
-  } else {
-    throw std::invalid_argument("unknown --metric '" + metric_name + "' (latency|energy)");
-  }
-  config.sla_ms = args.get_double("sla", 0.0);
+  config.cloud_faults.seed = static_cast<unsigned>(config.seed);
+  return config;
+}
+
+int cmd_fleet(const Options& args) {
+  Rig rig = Rig::from_options(args);
+  const dnn::Architecture arch = preset(args);
+  const core::DeploymentPlan plan = rig.make_evaluator().compile(arch);
+
+  fleet::FleetConfig config = fleet_config(args, rig);
+  config.hysteresis_margin = args.number("margin");
+  config.metric = metric(args);
   if (args.has("cloud-machines")) {
     cloud::CloudConfig cloud;
-    cloud.machines = get_count(args, "cloud-machines", 64);
-    cloud.machine.capacity_ms_per_s = args.get_double("cloud-capacity", 4000.0);
-    cloud.policy = parse_policy(args.get("cloud-policy", "greedy"));
-    cloud.admit_utilization = args.get_double("admit-util", 0.85);
+    cloud.machines = args.count("cloud-machines");
+    cloud.machine.capacity_ms_per_s = args.number("cloud-capacity");
+    cloud.policy = args.choice("cloud-policy") == 0  // greedy|energy
+                       ? cloud::PlacementPolicy::kGreedyFirstFit
+                       : cloud::PlacementPolicy::kEnergyBestFit;
+    cloud.admit_utilization = args.number("admit-util");
     config.cloud = cloud;
-    config.cloud_faults.seed = static_cast<unsigned>(config.seed);
     if (args.has("brownout")) {
-      config.cloud_faults.scripted.push_back(parse_brownout(args));
+      config.cloud_faults.scripted.push_back(brownout(args.list("brownout")));
     }
-  } else if (args.has("cloud-capacity") || args.has("cloud-policy") ||
-             args.has("admit-util") || args.has("brownout")) {
-    throw std::invalid_argument(
-        "--cloud-capacity/--cloud-policy/--admit-util/--brownout require "
-        "--cloud-machines (the finite-cloud model)");
   }
-  if (rig.tiers == 3) {
-    config.num_regions = get_count(args, "regions", 1);
-    if (args.has("fog-machines")) {
-      config.fog = cloud::fog_site_defaults(get_count(args, "fog-machines", 4));
-    }
-    if (args.has("region-brownout")) {
-      config.region_episodes.push_back(
-          parse_region_brownout(args, config.num_regions));
-    }
-  } else if (args.has("regions") || args.has("fog-machines") ||
-             args.has("region-brownout")) {
-    throw std::invalid_argument(
-        "--regions/--fog-machines/--region-brownout require --tiers 3 "
-        "(regional failure domains live on the K-tier hierarchy)");
+  config.num_regions = args.count("regions");
+  if (args.has("fog-machines")) {
+    config.fog = cloud::fog_site_defaults(args.count("fog-machines"));
+  }
+  if (args.has("region-brownout")) {
+    config.region_episodes.push_back(
+        region_brownout(args.list("region-brownout"), config.num_regions));
   }
 
   fleet::FleetEngine engine(plan, rig.hop_tu, config);
@@ -608,7 +469,7 @@ int cmd_fleet(const Args& args) {
 
   std::printf("fleet of %zu devices x %zu steps (%.0f s/step) serving %s, %s-optimal\n",
               stats.devices, stats.steps, stats.step_s, arch.name().c_str(),
-              metric_name.c_str());
+              args.text("metric").c_str());
   std::printf("latency ms: mean %.2f | p50 %.2f | p99 %.2f | p99.9 %.2f (oracle mean %.2f)\n",
               stats.mean_latency_ms, stats.p50_latency_ms, stats.p99_latency_ms,
               stats.p999_latency_ms, stats.oracle_mean_latency_ms);
@@ -674,52 +535,33 @@ int cmd_fleet(const Args& args) {
   }
   std::printf("\n");
   if (args.has("csv")) {
-    const std::string path = args.get("csv");
+    const std::string& path = args.text("csv");
     io::atomic_write_checked(path, [&](std::ostream& os) { os << stats.csv(); });
     std::printf("fleet stats written to %s\n", path.c_str());
   }
   return 0;
 }
 
-int cmd_cloud(const Args& args) {
-  args.expect_known({"arch", "tech", "rtt", "device", "tu", "devices", "steps", "step-s",
-                     "seed", "qps", "machines", "capacity", "admit-util", "sla",
-                     "brownout", "threads", "tiers", "fog-device", "hop-bw"});
-  Rig rig = Rig::from_args(args, 10.0);
-  // vgg16 at the 10 Mbps default makes All-Cloud the latency winner, so the
-  // fleet actually leans on the pool (alexnet mostly stays on the edge).
-  const dnn::Architecture arch = parse_arch(args.get("arch", "vgg16"));
-  const core::DeploymentEvaluator evaluator = rig.make_evaluator();
-  const core::DeploymentPlan plan = evaluator.compile(arch);
+int cmd_cloud(const Options& args) {
+  Rig rig = Rig::from_options(args);
+  const dnn::Architecture arch = preset(args);
+  const core::DeploymentPlan plan = rig.make_evaluator().compile(arch);
 
-  fleet::FleetConfig config;
-  config.devices = get_count(args, "devices", 20000);
-  config.steps = get_count(args, "steps", 48);
-  config.step_s = args.get_double("step-s", 60.0);
-  config.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  config.device_qps = args.get_double("qps", 1.0);
-  config.trace.mean_mbps = rig.hop_tu[0];
-  config.sla_ms = args.get_double("sla", 300.0);
-
+  fleet::FleetConfig config = fleet_config(args, rig);
   cloud::CloudConfig cloud;
-  cloud.machines = get_count(args, "machines", 16);
-  cloud.machine.capacity_ms_per_s = args.get_double("capacity", 4000.0);
-  cloud.admit_utilization = args.get_double("admit-util", 0.85);
-  config.cloud_faults.seed = static_cast<unsigned>(config.seed);
+  cloud.machines = args.count("machines");
+  cloud.machine.capacity_ms_per_s = args.number("capacity");
+  cloud.admit_utilization = args.number("admit-util");
 
   // Default scenario: a regional brownout cutting 60% of per-machine
   // capacity across the middle third of the run.
   const double horizon_s = static_cast<double>(config.steps) * config.step_s;
-  sim::FaultEpisode brownout;
-  if (args.has("brownout")) {
-    brownout = parse_brownout(args);
-  } else {
-    brownout.fault = sim::FaultClass::kRegionalBrownout;
-    brownout.start_s = horizon_s / 3.0;
-    brownout.end_s = 2.0 * horizon_s / 3.0;
-    brownout.magnitude = 0.6;
-  }
-  config.cloud_faults.scripted.push_back(brownout);
+  const sim::FaultEpisode episode =
+      args.has("brownout")
+          ? brownout(args.list("brownout"))
+          : sim::FaultEpisode{sim::FaultClass::kRegionalBrownout, horizon_s / 3.0,
+                              2.0 * horizon_s / 3.0, 0.6};
+  config.cloud_faults.scripted.push_back(episode);
   config.cloud = cloud;
   // An engine validates its configuration on construction: every option is
   // checked before the first line of output.
@@ -732,7 +574,7 @@ int cmd_cloud(const Args& args) {
       "pool: %zu machines x %.0f layer-ms/s, admit ceiling %.0f%%; brownout "
       "t=[%.0f,%.0f)s losing %.0f%% capacity; SLA %.0f ms\n",
       cloud.machines, cloud.machine.capacity_ms_per_s, 100.0 * cloud.admit_utilization,
-      brownout.start_s, brownout.end_s, 100.0 * brownout.magnitude, config.sla_ms);
+      episode.start_s, episode.end_s, 100.0 * episode.magnitude, config.sla_ms);
   std::printf("%-17s %7s %9s %9s %9s %9s %8s %11s\n", "policy", "shed%", "sla-viol%",
               "p99(ms)", "p999(ms)", "wait(ms)", "active", "energy(kJ)");
 
@@ -761,97 +603,185 @@ int cmd_cloud(const Args& args) {
   return 0;
 }
 
-int cmd_help() {
+int cmd_help(const Options&) {
   std::printf(
       "lens-cli -- LENS edge-cloud NAS toolkit\n\n"
-      "usage: lens-cli <command> [--option value ...]\n\n"
-      "commands:\n"
-      "  evaluate    deployment options of a preset model\n"
-      "              --arch alexnet|vgg16 --tu MBPS --tech wifi|lte|3g --rtt MS\n"
-      "              --device tx2-gpu|tx2-cpu|embedded-cpu|datacenter-gpu [--summary]\n"
-      "  search      run a LENS / Traditional architecture search\n"
-      "              --iterations N --initial N --tu MBPS --seed N\n"
-      "              --mode lens|traditional --strategy mobo|nsga2|random\n"
-      "              [--out history.csv] [--front-out front.csv]\n"
-      "              [--resume history.csv]   cross-config warm-start: re-evaluates\n"
-      "                                       genotypes from an exported CSV\n"
-      "              [--checkpoint DIR]       write rotated run snapshots every\n"
-      "                                       --checkpoint-period evals (keep\n"
-      "                                       --checkpoint-keep newest, default 10/3);\n"
-      "                                       SIGINT/SIGTERM flush before exit\n"
-      "              [--resume-run DIR]       exact-state resume from the newest\n"
-      "                                       valid snapshot in DIR; continuation\n"
-      "                                       is bit-identical to an uninterrupted\n"
-      "                                       run with the same config\n"
-      "  thresholds  runtime switching thresholds for a preset model\n"
-      "              --arch ... --metric latency|energy [--save table.txt]\n"
-      "  simulate    serving simulation under Poisson load\n"
-      "              --rate HZ --duration S --policy queue-aware|dynamic|\n"
-      "              best-latency|all-edge [--deadline MS]\n"
-      "  faults      fault-scenario pricing + serving under injected faults\n"
-      "              --arch ... --tu MBPS --rate HZ --duration S --seed N\n"
-      "              [--timeout MS] [--retries N]\n"
-      "              [--cloud-machines N [--cloud-capacity MS_PER_S]]  finite pool\n"
-      "              [--jitter F]   retry-backoff jitter in [0,1]\n"
-      "              [--breaker N]  trip to edge fallback after N straight failures\n"
-      "  fleet       time-stepped fleet simulation over batched SoA kernels\n"
-      "              --devices N --steps N --tu MBPS (trace mean) --seed N\n"
-      "              [--step-s S] [--margin F] [--qps HZ] [--metric latency|energy]\n"
-      "              [--csv FILE]   FleetStats is bit-identical at any --threads\n"
-      "              [--cloud-machines N] finite cloud: admission control +\n"
-      "                [--cloud-capacity MS_PER_S] [--cloud-policy greedy|energy]\n"
-      "                [--admit-util F] [--sla MS] [--brownout START,DUR,DEPTH]\n"
-      "              --tiers 3 only: regional failure domains\n"
-      "                [--regions R] [--fog-machines M]  R regions, each with a\n"
-      "                finite fog site of M machines\n"
-      "                [--region-brownout REGION,START,DUR,DEPTH]  scripted\n"
-      "                backhaul brownout in one region (DEPTH in (0,1))\n"
-      "  cloud       duel the placement policies on one finite pool under a\n"
-      "              scripted regional brownout (greedy vs energy best-fit)\n"
-      "              --devices N --steps N --machines N [--capacity MS_PER_S]\n"
-      "              [--admit-util F] [--sla MS] [--brownout START,DUR,DEPTH]\n"
-      "  help        this text\n\n"
-      "global options:\n"
-      "  --threads N   worker threads for parallel evaluation (default:\n"
-      "                LENS_THREADS env, else all hardware threads);\n"
-      "                results are bit-identical for any thread count\n"
-      "  --tiers N     hierarchy depth: 2 = edge-cloud (default), 3 = the\n"
-      "                edge-fog-cloud preset with two cut points\n"
-      "  --fog-device  fog-node device preset for --tiers 3\n"
-      "                (default datacenter-gpu)\n"
-      "  --hop-bw A,B  per-hop throughputs in Mbps, radio first (one value\n"
-      "                per hop; replaces --tu; default backhaul = 10x radio)\n");
+      "usage: lens-cli <command> [--option value | --option=value | --flag ...]\n");
+  for (const Command& command : commands()) {
+    std::printf("\n%s: %s\n", command.name.c_str(), command.summary.c_str());
+    for (const Option& o : command.options) {
+      const std::string head = "--" + o.name + (o.value.empty() ? "" : " " + o.value);
+      const std::string fallback =
+          o.fallback && o.kind != Kind::kFlag ? " (default " + *o.fallback + ")" : "";
+      std::printf("  %-29s %s%s\n", head.c_str(), o.help.c_str(), fallback.c_str());
+    }
+    for (const Rule& rule : command.rules) std::printf("  note: %s\n", rule.message.c_str());
+  }
   return 0;
 }
 
+// ---- Option tables ------------------------------------------------------
+// A group holds options that several commands take with one meaning; its
+// arguments are the defaults that differ between those commands.
+using enum Kind;
+
+/// What Rig::from_options reads, and the thread budget: every command but help.
+std::vector<Option> rig_options(const char* tu) {
+  return {{"tu", kNumber, "MBPS", tu, "radio uplink throughput (fleet, cloud: the trace mean)"},
+          {"tech", kChoice, "wifi|lte|3g", "wifi", "wireless technology"},
+          {"rtt", kNumber, "MS", "5", "round-trip latency"},
+          {"device", kChoice, kDevices, "tx2-gpu", "edge device"},
+          {"tiers", kCount, "N", "2", "hierarchy depth: 2 = edge-cloud, 3 = edge-fog-cloud"},
+          {"fog-device", kChoice, kDevices, "datacenter-gpu", "fog-node device"},
+          {"hop-bw", kList, "MBPS,...", {}, "per-hop Mbps, radio first (backhaul: 10x --tu)"},
+          {"threads", kCount, "N", {},
+           "worker threads (LENS_THREADS, else all); same results at any N", 1, par::kMaxThreads}};
+}
+
+Option arch_option(const char* fallback) {
+  return {"arch", kChoice, "alexnet|vgg16", fallback, "preset model"};
+}
+
+Option metric_option(const char* fallback) {
+  return {"metric", kChoice, "latency|energy", fallback, "what the deployment minimizes"};
+}
+
+const Option kSeed{"seed", kCount, "N", "1", "random seed", 0, 4294967295.0};
+
+/// The event simulator's Poisson load: simulate and faults (sim_config).
+const std::vector<Option> kLoad = {{"rate", kNumber, "HZ", "10", "request arrival rate"},
+                                   {"duration", kNumber, "S", "60", "simulated seconds"}};
+
+/// A finite cloud pool: faults and fleet.
+const std::vector<Option> kCloudPool = {
+    {"cloud-machines", kCount, "N", {}, "a finite cloud of N machines with admission control", 1},
+    {"cloud-capacity", kNumber, "MS_PER_S", "4000", "layer-ms/s per cloud machine"}};
+
+/// The fleet engine: fleet and cloud (fleet_config).
+std::vector<Option> fleet_options(const char* devices, const char* steps, const char* step_s,
+                                  const char* sla) {
+  return {{"devices", kCount, "N", devices, "devices in the fleet", 1},
+          {"steps", kCount, "N", steps, "time steps", 1},
+          {"step-s", kNumber, "S", step_s, "seconds per step"},
+          kSeed,
+          {"qps", kNumber, "HZ", "1", "queries per second per device"},
+          {"admit-util", kNumber, "F", "0.85", "admission ceiling, a share of pool capacity"},
+          {"sla", kNumber, "MS", sla, "latency SLA, 0 for none"},
+          {"brownout", kList, "start,duration,depth", {},
+           "cloud brownout: seconds, seconds, capacity share lost in (0,1]", 3, 3}};
+}
+
+std::vector<Option> join(std::initializer_list<std::vector<Option>> groups) {
+  std::vector<Option> options;
+  for (const auto& group : groups) options.insert(options.end(), group.begin(), group.end());
+  return options;
+}
+
+bool three_tiers(const Options& args) { return args.count("tiers") == 3; }
+bool finite_cloud(const Options& args) { return args.has("cloud-machines"); }
+
+/// The rules of rig_options.
+const Rule kFogRule{{"fog-device"}, three_tiers, "--fog-device only applies to --tiers 3"};
+const Rule kHopRule{{"hop-bw"}, [](const Options& args) { return !args.has("tu"); },
+                    "--hop-bw already sets the radio throughput (first entry); drop --tu"};
+
 }  // namespace
 
-int run_command(const Args& args) {
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = {
+    {"evaluate", "deployment options of a preset model",
+     join({{arch_option("alexnet"), {"summary", kFlag, "", "false", "print a model summary"}},
+           rig_options("3")}),
+     {kFogRule, kHopRule}, cmd_evaluate},
+    {"search", "run a LENS / Traditional architecture search",
+     join({{{"iterations", kCount, "N", "60", "search iterations after the warm-up"},
+            {"initial", kCount, "N", "12", "random warm-up candidates", 1},
+            kSeed,
+            {"mode", kChoice, "lens|traditional", "lens", "best deployment or All-Edge costs"},
+            {"strategy", kChoice, "mobo|nsga2|random", "mobo", "search strategy"},
+            {"out", kPath, "FILE", {}, "write the evaluation history CSV"},
+            {"front-out", kPath, "FILE", {}, "write the Pareto-front CSV"},
+            {"resume", kPath, "FILE", {}, "warm start from an exported history CSV"},
+            {"checkpoint", kPath, "DIR", {}, "rotated run snapshots, flushed on SIGINT/SIGTERM"},
+            {"checkpoint-period", kCount, "N", "10", "evaluations per snapshot", 1},
+            {"checkpoint-keep", kCount, "N", "3", "newest snapshots kept", 1},
+            {"resume-run", kPath, "DIR", {}, "bit-identical resume from DIR's snapshots"}},
+           rig_options("3")}),
+     {kFogRule, kHopRule,
+      {{"checkpoint-period", "checkpoint-keep"},
+       [](const Options& args) { return args.has("checkpoint"); },
+       "--checkpoint-period/--checkpoint-keep require --checkpoint"}},
+     cmd_search},
+    {"thresholds", "runtime switching thresholds of a preset model",
+     join({{arch_option("alexnet"), metric_option("energy"),
+            {"save", kPath, "FILE", {}, "write the switching table for the device"}},
+           rig_options("10")}),
+     {kFogRule, kHopRule}, cmd_thresholds},
+    {"simulate", "serving simulation under Poisson load",
+     join({{arch_option("alexnet"),
+            {"policy", kChoice, "queue-aware|dynamic|best-latency|all-edge", "queue-aware",
+             "dispatch policy"},
+            {"deadline", kNumber, "MS", "0", "latency deadline, 0 for none"}},
+           kLoad, rig_options("10")}),
+     {kFogRule, kHopRule}, cmd_simulate},
+    {"faults", "fault-scenario pricing and serving under injected faults",
+     join({{arch_option("alexnet"), kSeed,
+            {"timeout", kNumber, "MS", "500", "request timeout"},
+            {"retries", kCount, "N", "2", "retries after a timeout"},
+            {"jitter", kNumber, "F", "0", "retry-backoff jitter in [0,1]"},
+            {"breaker", kCount, "N", "0", "edge fallback after N straight failures; 0 off"}},
+           kLoad, kCloudPool, rig_options("10")}),
+     {kFogRule, kHopRule,
+      {{"cloud-capacity"}, finite_cloud, "--cloud-capacity requires --cloud-machines"}},
+     cmd_faults},
+    {"fleet", "time-stepped fleet simulation; its --csv is identical at any --threads",
+     join({{arch_option("alexnet"), metric_option("latency"),
+            {"margin", kNumber, "F", "0.05", "switching hysteresis margin"},
+            {"csv", kPath, "FILE", {}, "write the fleet statistics CSV"},
+            {"cloud-policy", kChoice, "greedy|energy", "greedy", "cloud placement policy"},
+            {"regions", kCount, "N", "1", "regional failure domains", 1},
+            {"fog-machines", kCount, "N", {}, "a finite fog site of N machines each", 1},
+            {"region-brownout", kList, "region,start,duration,depth", {},
+             "backhaul brownout: region, seconds, seconds, share lost in (0,1)", 4, 4}},
+           fleet_options("100000", "64", "300", "0"), kCloudPool, rig_options("10")}),
+     {kFogRule, kHopRule,
+      {{"cloud-capacity", "cloud-policy", "admit-util", "brownout"}, finite_cloud,
+       "--cloud-capacity/--cloud-policy/--admit-util/--brownout require "
+       "--cloud-machines (the finite-cloud model)"},
+      {{"regions", "fog-machines", "region-brownout"}, three_tiers,
+       "--regions/--fog-machines/--region-brownout require --tiers 3 "
+       "(regional failure domains live on the K-tier hierarchy)"}},
+     cmd_fleet},
+    {"cloud", "placement duel on one pool under a brownout (default: middle third, 0.6)",
+     join({{arch_option("vgg16"), {"machines", kCount, "N", "16", "machines in the pool", 1},
+            {"capacity", kNumber, "MS_PER_S", "4000", "layer-ms/s per machine"}},
+           fleet_options("20000", "48", "60", "300"), rig_options("10")}),
+     {kFogRule, kHopRule}, cmd_cloud},
+    {"help", "this text", {}, {}, cmd_help},
+  };
+  return table;
+}
+
+int run_command(int argc, const char* const* argv) {
+  const bool named = argc > 1 && argv[1][0] != '-';
+  const std::string name = named ? argv[1] : "help";
+  const std::vector<Command>& table = commands();
+  const auto command = std::find_if(table.begin(), table.end(),
+                                    [&](const Command& c) { return c.name == name; });
+  if (command == table.end()) {
+    std::fprintf(stderr, "lens-cli: unknown command '%s' (try 'lens-cli help')\n",
+                 name.c_str());
+    return 2;
+  }
   try {
+    const Options args = Options::parse(
+        command->options, command->rules, std::vector<std::string>(argv + 1 + named, argv + argc));
     // Worker budget for the lens::par pool: --threads beats LENS_THREADS
     // beats hardware detection. Results are identical for any setting.
-    if (args.has("threads")) {
-      const std::size_t threads = get_count(args, "threads", 0);
-      if (threads > par::kMaxThreads) {
-        throw std::invalid_argument("--threads must be at most " +
-                                    std::to_string(par::kMaxThreads));
-      }
-      par::set_max_threads(threads);
-    }
-    const std::string& command = args.command();
-    if (command == "evaluate") return cmd_evaluate(args);
-    if (command == "search") return cmd_search(args);
-    if (command == "thresholds") return cmd_thresholds(args);
-    if (command == "simulate") return cmd_simulate(args);
-    if (command == "faults") return cmd_faults(args);
-    if (command == "fleet") return cmd_fleet(args);
-    if (command == "cloud") return cmd_cloud(args);
-    if (command.empty() || command == "help") return cmd_help();
-    std::fprintf(stderr, "lens-cli: unknown command '%s' (try 'lens-cli help')\n",
-                 command.c_str());
-    return 2;
+    if (args.has("threads")) par::set_max_threads(args.count("threads"));
+    return command->run(args);
   } catch (const std::exception& error) {
-    std::fprintf(stderr, "lens-cli: %s\n", error.what());
+    std::fprintf(stderr, "lens-cli %s: %s\n", command->name.c_str(), error.what());
     return 1;
   }
 }

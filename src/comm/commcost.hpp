@@ -81,14 +81,6 @@ struct MultiHopCurve {
   }
 };
 
-/// Network environment: technology, expected upload throughput, and the
-/// measured round-trip latency to the server.
-struct NetworkConditions {
-  WirelessTechnology technology = WirelessTechnology::kWifi;
-  double upload_mbps = 3.0;       ///< expected t_u (paper's experiments use 3 Mbps)
-  double round_trip_ms = 20.0;    ///< L_RT, averaged ping
-};
-
 /// Communication cost calculator for a fixed technology. Throughput is a
 /// per-call argument so the same model serves both design-time evaluation
 /// (expected t_u) and runtime adaptation (tracked t_u).
@@ -96,12 +88,6 @@ class CommModel {
  public:
   explicit CommModel(WirelessTechnology technology, double round_trip_ms = 20.0);
   CommModel(const RadioPowerModel& power_model, double round_trip_ms);
-
-  /// Build from a NetworkConditions bundle (technology + RTT; the expected
-  /// throughput stays a per-call argument as everywhere else).
-  static CommModel from_conditions(const NetworkConditions& conditions) {
-    return CommModel(conditions.technology, conditions.round_trip_ms);
-  }
 
   // The three per-call costs below are inline: plan pricing calls them once
   // or twice per option, and the expressions must stay exactly as written —

@@ -26,7 +26,6 @@ class Sgd {
   /// Zero all gradients without updating.
   void zero_grad();
 
-  void set_learning_rate(double lr) { config_.learning_rate = lr; }
   double learning_rate() const { return config_.learning_rate; }
 
  private:

@@ -133,7 +133,6 @@ void MoboEngine::record_observation(const std::vector<double>& x, std::vector<do
     throw std::runtime_error("MoboEngine: objective callback returned wrong arity");
   }
   append({x, std::move(y)});
-  if (progress_) progress_(history_.size() - 1, history_.back());
 }
 
 void MoboEngine::append(Observation observation) {

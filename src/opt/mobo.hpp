@@ -87,8 +87,6 @@ class MoboEngine {
   /// evaluations out over a thread pool (see core::NasDriver).
   using BatchObjectives = std::function<std::vector<std::vector<double>>(
       const std::vector<std::vector<double>>&)>;
-  /// Optional progress hook: (0-based evaluation index, observation).
-  using ProgressHook = std::function<void(std::size_t, const Observation&)>;
 
   MoboEngine(MoboConfig config, std::size_t num_objectives, Sampler sampler,
              Objectives objectives);
@@ -126,7 +124,6 @@ class MoboEngine {
   std::size_t num_objectives() const { return num_objectives_; }
   /// Evaluations consumed so far (seeded + warm-up + BO iterations).
   std::size_t evaluations_done() const { return evaluations_done_; }
-  void set_progress_hook(ProgressHook hook) { progress_ = std::move(hook); }
 
   /// Install a batch evaluator used for the random warm-up phase (BO
   /// iterations are inherently sequential). Warm-up design points are still
@@ -140,7 +137,7 @@ class MoboEngine {
   /// Evaluate a batch (via batch_objectives_ when installed, else one by
   /// one) and record results in input order.
   void evaluate_batch(const std::vector<std::vector<double>>& xs);
-  /// Record an evaluated observation: append() plus the progress hook.
+  /// Record an evaluated observation: append() after an arity check.
   void record_observation(const std::vector<double>& x, std::vector<double> y);
   /// The single place history_ grows: normalizer, Pareto front, duplicate
   /// index and history, for evaluated, seeded and restored observations.
@@ -179,7 +176,6 @@ class MoboEngine {
   Sampler sampler_;
   Objectives objectives_;
   BatchObjectives batch_objectives_;
-  ProgressHook progress_;
 
   std::mt19937_64 rng_;
   std::vector<Observation> history_;

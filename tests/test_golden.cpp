@@ -11,10 +11,10 @@
 // directory must be pinned, and every pinned file must be written.
 //
 // A must-fail line, `argv | exit=1 | error=<stderr substring>`, pins a
-// rejected input instead: the run must exit with that code, name the error
-// on stderr, print nothing on stdout, and write no file: inputs are checked
-// before the first line of output, so a rejected run leaves no partial
-// report behind.
+// rejected input instead: the run must exit with that code, print one
+// stderr line `lens-cli <command>: <message>` that contains the substring,
+// print nothing on stdout, and write no file: inputs are checked before the
+// first line of output, so a rejected run leaves no partial report behind.
 
 #include <algorithm>
 #include <cstdio>
@@ -30,7 +30,6 @@
 
 #include <gtest/gtest.h>
 
-#include "cli/args.hpp"
 #include "cli/commands.hpp"
 #include "io/io.hpp"
 
@@ -124,22 +123,12 @@ std::string read_file(const fs::path& path) {
   return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
-/// lens-cli's main(): a bad option that fails to parse also exits 1.
-int run_cli(const std::vector<const char*>& argv) {
-  try {
-    return cli::run_command(cli::Args::parse(static_cast<int>(argv.size()), argv.data()));
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "lens-cli: %s\n", error.what());
-    return 1;
-  }
-}
-
 TEST(Golden, CliRunsMatchTheirPins) {
   const std::vector<GoldenRun> runs = load_corpus(LENS_GOLDEN_CORPUS);
   const auto must_fail =
       std::count_if(runs.begin(), runs.end(), [](const GoldenRun& r) { return r.exit_code != 0; });
-  ASSERT_GE(runs.size() - static_cast<std::size_t>(must_fail), 41u) << "the corpus lost runs";
-  ASSERT_GE(must_fail, 43) << "the corpus lost must-fail runs";
+  ASSERT_GE(runs.size() - static_cast<std::size_t>(must_fail), 42u) << "the corpus lost runs";
+  ASSERT_GE(must_fail, 71) << "the corpus lost must-fail runs";
 
   std::string root_template = ::testing::TempDir() + "lens-golden-XXXXXX";
   ASSERT_NE(mkdtemp(root_template.data()), nullptr);
@@ -157,7 +146,7 @@ TEST(Golden, CliRunsMatchTheirPins) {
 
     ::testing::internal::CaptureStdout();
     ::testing::internal::CaptureStderr();
-    const int rc = run_cli(argv);
+    const int rc = cli::run_command(static_cast<int>(argv.size()), argv.data());
     const std::string out =
         replace_all(::testing::internal::GetCapturedStdout(), dir.string(), kTmp);
     const std::string err = ::testing::internal::GetCapturedStderr();
@@ -169,6 +158,10 @@ TEST(Golden, CliRunsMatchTheirPins) {
       EXPECT_EQ(rc, run.exit_code) << "golden corpus line " << run.line;
       EXPECT_NE(err.find(run.error), std::string::npos)
           << "golden corpus line " << run.line << " stderr:\n" << err;
+      const std::string prefix = "lens-cli " + run.argv[0] + ": ";
+      EXPECT_TRUE(err.rfind(prefix, 0) == 0 && err.find('\n') == err.size() - 1)
+          << "golden corpus line " << run.line << " must print one line '" << prefix
+          << "<message>', got:\n" << err;
       EXPECT_EQ(written, 0u) << "golden corpus line " << run.line << " wrote a file";
       EXPECT_EQ(out, "") << "golden corpus line " << run.line << " printed before failing";
       continue;

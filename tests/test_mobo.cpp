@@ -395,26 +395,5 @@ TEST(Mobo, SeedValidation) {
   EXPECT_THROW(engine.seed_observations({{{0.1}, {0.3}}}), std::logic_error);
 }
 
-TEST(Mobo, ProgressHookSeesEveryEvaluation) {
-  MoboConfig config;
-  config.num_initial = 2;
-  config.num_iterations = 3;
-  auto sampler = [](std::mt19937_64& rng) {
-    std::uniform_real_distribution<double> u(0.0, 1.0);
-    return std::vector<double>{u(rng)};
-  };
-  auto objectives = [](const std::vector<double>& x) {
-    return std::vector<double>{x[0]};
-  };
-  MoboEngine engine(config, 1, sampler, objectives);
-  std::size_t calls = 0;
-  engine.set_progress_hook([&](std::size_t index, const Observation&) {
-    EXPECT_EQ(index, calls);
-    ++calls;
-  });
-  engine.run();
-  EXPECT_EQ(calls, 5u);
-}
-
 }  // namespace
 }  // namespace lens::opt

@@ -416,16 +416,6 @@ TEST(Battery, Validation) {
   EXPECT_THROW(battery_replay(unordered, {}), std::invalid_argument);
 }
 
-TEST(CommConditions, FromConditionsMatchesDirectConstruction) {
-  comm::NetworkConditions conditions;
-  conditions.technology = comm::WirelessTechnology::kLte;
-  conditions.round_trip_ms = 12.0;
-  const comm::CommModel from = comm::CommModel::from_conditions(conditions);
-  const comm::CommModel direct(comm::WirelessTechnology::kLte, 12.0);
-  EXPECT_DOUBLE_EQ(from.round_trip_ms(), direct.round_trip_ms());
-  EXPECT_DOUBLE_EQ(from.tx_energy_mj(1000, 5.0), direct.tx_energy_mj(1000, 5.0));
-}
-
 // ---- fault injection --------------------------------------------------------
 
 TEST(Timeline, UnorderedScheduleCoexistsWithFifo) {

@@ -1,16 +1,6 @@
 // lens-cli: command-line front end to the LENS library.
 // See `lens-cli help` for usage.
 
-#include "cli/args.hpp"
 #include "cli/commands.hpp"
 
-#include <cstdio>
-
-int main(int argc, char** argv) {
-  try {
-    return lens::cli::run_command(lens::cli::Args::parse(argc, argv));
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "lens-cli: %s\n", error.what());
-    return 1;
-  }
-}
+int main(int argc, char** argv) { return lens::cli::run_command(argc, argv); }
