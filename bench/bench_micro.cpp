@@ -5,6 +5,7 @@
 // hyper-parameter retunes. Results are also written to BENCH_micro.json
 // (per-size timings plus fit/extend speedup ratios) for cross-PR tracking.
 
+#include <algorithm>
 #include <filesystem>
 #include <random>
 #include <string>
@@ -20,9 +21,11 @@
 #include "core/search_space.hpp"
 #include "core/topology.hpp"
 #include "dnn/presets.hpp"
+#include "fleet/fleet.hpp"
 #include "opt/gp.hpp"
 #include "opt/kernel.hpp"
 #include "opt/matrix.hpp"
+#include "par/thread_pool.hpp"
 #include "perf/predictor.hpp"
 #include "sim/system.hpp"
 
@@ -472,6 +475,39 @@ void BM_SimFaulty(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(requests), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SimFaulty)->Arg(0)->Arg(1);
+
+// ---- Fleet: per-device faults as step events ---------------------------------
+// 10k devices under bench_fleet's link- and cloud-outage rates, Arg() steps
+// of 300 s on one worker: generate every device's episodes into step events,
+// then apply them at each step to freshly written readings, as a fleet step
+// does after its trace kernel.
+
+void BM_FleetFaultSteps(benchmark::State& state) {
+  fleet::FleetConfig config;
+  config.devices = 10000;
+  config.steps = static_cast<std::size_t>(state.range(0));
+  config.seed = 21;
+  config.faults.link_outage_rate_hz = 1.0 / 3600.0;
+  config.faults.link_outage_mean_s = 120.0;
+  config.faults.cloud_outage_rate_hz = 1.0 / 7200.0;
+  config.faults.cloud_outage_mean_s = 180.0;
+  const std::size_t chunks = fleet::FleetEngine::num_chunks(config.devices);
+  par::ThreadPool pool(1);
+  std::vector<double> tu(config.devices);
+  for (auto _ : state) {
+    fleet::FaultOverlay overlay(config, chunks, pool);
+    for (std::size_t s = 0; s < config.steps; ++s) {
+      std::fill(tu.begin(), tu.end(), 8.0);
+      for (std::size_t c = 0; c < chunks; ++c) overlay.apply(c, s, tu.data());
+      benchmark::DoNotOptimize(tu.data());
+    }
+    benchmark::ClobberMemory();
+  }
+  state.counters["device_steps_per_s"] = benchmark::Counter(
+      static_cast<double>(config.devices * config.steps * state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_FleetFaultSteps)->Arg(16);
 
 // ---- JSON output -------------------------------------------------------------
 

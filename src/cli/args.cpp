@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <stdexcept>
 
 namespace lens::cli {
@@ -86,8 +87,18 @@ Options::Value Options::read(const Option& option, const std::optional<std::stri
       break;
     }
     case Kind::kPath:
+    case Kind::kOutFile: {
       if (value.text.empty()) throw std::invalid_argument(name + " expects a path" + got);
+      // An output file is written after the run: a missing directory fails
+      // now, before any work.
+      const std::filesystem::path dir = std::filesystem::path(value.text).parent_path();
+      std::error_code error;
+      if (option.kind == Kind::kOutFile && !dir.empty() &&
+          !std::filesystem::is_directory(dir, error)) {
+        throw std::invalid_argument(name + " expects a file in an existing directory" + got);
+      }
       break;
+    }
   }
   return value;
 }

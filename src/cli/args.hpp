@@ -21,6 +21,7 @@ enum class Kind {
   kList,    ///< comma-separated numbers, between lo and hi of them
   kChoice,  ///< one of the '|'-separated alternatives in `value`
   kPath,    ///< a nonempty file or directory name
+  kOutFile, ///< a kPath to write, whose directory exists before the run
 };
 
 /// One option of one subcommand.
@@ -77,9 +78,9 @@ class Options {
   std::size_t choice(const std::string& name) const {
     return static_cast<std::size_t>(at(name, {Kind::kChoice}).number);
   }
-  /// A kPath, or a kChoice's spelling.
+  /// A kPath or kOutFile, or a kChoice's spelling.
   const std::string& text(const std::string& name) const {
-    return at(name, {Kind::kPath, Kind::kChoice}).text;
+    return at(name, {Kind::kPath, Kind::kOutFile, Kind::kChoice}).text;
   }
 
  private:

@@ -699,8 +699,8 @@ const std::vector<Command>& commands() {
             kSeed,
             {"mode", kChoice, "lens|traditional", "lens", "best deployment or All-Edge costs"},
             {"strategy", kChoice, "mobo|nsga2|random", "mobo", "search strategy"},
-            {"out", kPath, "FILE", {}, "write the evaluation history CSV"},
-            {"front-out", kPath, "FILE", {}, "write the Pareto-front CSV"},
+            {"out", kOutFile, "FILE", {}, "write the evaluation history CSV"},
+            {"front-out", kOutFile, "FILE", {}, "write the Pareto-front CSV"},
             {"resume", kPath, "FILE", {}, "warm start from an exported history CSV"},
             {"checkpoint", kPath, "DIR", {}, "rotated run snapshots, flushed on SIGINT/SIGTERM"},
             {"checkpoint-period", kCount, "N", "10", "evaluations per snapshot", 1},
@@ -714,7 +714,7 @@ const std::vector<Command>& commands() {
      cmd_search},
     {"thresholds", "runtime switching thresholds of a preset model",
      join({{arch_option("alexnet"), metric_option("energy"),
-            {"save", kPath, "FILE", {}, "write the switching table for the device"}},
+            {"save", kOutFile, "FILE", {}, "write the switching table for the device"}},
            rig_options("10")}),
      {kFogRule, kHopRule}, cmd_thresholds},
     {"simulate", "serving simulation under Poisson load",
@@ -737,7 +737,7 @@ const std::vector<Command>& commands() {
     {"fleet", "time-stepped fleet simulation; its --csv is identical at any --threads",
      join({{arch_option("alexnet"), metric_option("latency"),
             {"margin", kNumber, "F", "0.05", "switching hysteresis margin"},
-            {"csv", kPath, "FILE", {}, "write the fleet statistics CSV"},
+            {"csv", kOutFile, "FILE", {}, "write the fleet statistics CSV"},
             {"cloud-policy", kChoice, "greedy|energy", "greedy", "cloud placement policy"},
             {"regions", kCount, "N", "1", "regional failure domains", 1},
             {"fog-machines", kCount, "N", {}, "a finite fog site of N machines each", 1},

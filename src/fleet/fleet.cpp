@@ -8,6 +8,7 @@
 #include <type_traits>
 #include <utility>
 
+#include "check/finite.hpp"
 #include "cloud/scheduler.hpp"
 #include "par/parallel.hpp"
 #include "par/runtime.hpp"
@@ -58,84 +59,6 @@ sim::FaultScheduleConfig with_horizon(sim::FaultScheduleConfig faults,
     faults.horizon_s = static_cast<double>(config.steps) * config.step_s;
   }
   return faults;
-}
-
-/// Per-device fault episodes in CSR layout (flat arrays + offsets), so the
-/// hot loop touches contiguous memory. Only the classes the fleet loop
-/// applies are extracted: hop-0 link fades and cloud outages.
-struct FaultCsr {
-  bool enabled = false;
-  std::vector<std::uint64_t> link_off;  // devices + 1
-  std::vector<double> link_start, link_end, link_depth;
-  std::vector<std::uint64_t> cloud_off;  // devices + 1
-  std::vector<double> cloud_start, cloud_end;
-};
-
-/// Episodes of one device shard, kept in device order within the shard.
-struct FaultShard {
-  std::vector<std::uint64_t> link_count, cloud_count;  // per device in shard
-  std::vector<double> link_start, link_end, link_depth;
-  std::vector<double> cloud_start, cloud_end;
-};
-
-FaultCsr build_fault_csr(const FleetConfig& config, par::ThreadPool& pool,
-                         std::size_t chunks) {
-  FaultCsr csr;
-  if (!config.faults.any_enabled()) return csr;
-  csr.enabled = true;
-  const sim::FaultScheduleConfig fcfg = with_horizon(config.faults, config);
-
-  // Each device's schedule is a pure function of (config, seed, device id),
-  // so shards generate independently; the CSR concatenation below runs
-  // serially in chunk order, keeping the layout thread-count-invariant.
-  std::vector<FaultShard> shards(chunks);
-  par::parallel_for_chunked(pool, chunks, chunks, [&](std::size_t c) {
-    const auto [begin, end] = par::chunk_range(config.devices, chunks, c);
-    FaultShard& shard = shards[c];
-    shard.link_count.reserve(end - begin);
-    shard.cloud_count.reserve(end - begin);
-    for (std::size_t d = begin; d < end; ++d) {
-      const sim::FaultSchedule schedule =
-          sim::FaultSchedule::generate_for_device(fcfg, config.seed, d);
-      std::uint64_t links = 0, clouds = 0;
-      for (const sim::FaultEpisode& e : schedule.episodes()) {
-        if (e.fault == sim::FaultClass::kLinkOutage && e.hop == 0) {
-          shard.link_start.push_back(e.start_s);
-          shard.link_end.push_back(e.end_s);
-          shard.link_depth.push_back(e.magnitude);
-          ++links;
-        } else if (e.fault == sim::FaultClass::kCloudOutage) {
-          shard.cloud_start.push_back(e.start_s);
-          shard.cloud_end.push_back(e.end_s);
-          ++clouds;
-        }
-      }
-      shard.link_count.push_back(links);
-      shard.cloud_count.push_back(clouds);
-    }
-  });
-
-  csr.link_off.reserve(config.devices + 1);
-  csr.cloud_off.reserve(config.devices + 1);
-  csr.link_off.push_back(0);
-  csr.cloud_off.push_back(0);
-  for (const FaultShard& shard : shards) {
-    for (std::size_t i = 0; i < shard.link_count.size(); ++i) {
-      csr.link_off.push_back(csr.link_off.back() + shard.link_count[i]);
-      csr.cloud_off.push_back(csr.cloud_off.back() + shard.cloud_count[i]);
-    }
-    csr.link_start.insert(csr.link_start.end(), shard.link_start.begin(),
-                          shard.link_start.end());
-    csr.link_end.insert(csr.link_end.end(), shard.link_end.begin(),
-                        shard.link_end.end());
-    csr.link_depth.insert(csr.link_depth.end(), shard.link_depth.begin(),
-                          shard.link_depth.end());
-    csr.cloud_start.insert(csr.cloud_start.end(), shard.cloud_start.begin(),
-                           shard.cloud_start.end());
-    csr.cloud_end.insert(csr.cloud_end.end(), shard.cloud_end.begin(),
-                         shard.cloud_end.end());
-  }
-  return csr;
 }
 
 /// Per-chunk offers to one pool this step, before admission control.
@@ -336,25 +259,102 @@ std::size_t FleetEngine::num_chunks(std::size_t devices) {
   return std::clamp<std::size_t>(chunks, 1, kMaxChunks);
 }
 
+FaultOverlay::FaultOverlay(const FleetConfig& config, std::size_t chunks,
+                           par::ThreadPool& pool)
+    : devices_(config.devices),
+      steps_(config.steps),
+      step_s_(config.step_s),
+      depth_(config.faults.link_outage_depth),
+      events_(chunks),
+      next_(chunks, 0),
+      bits_(config.devices, 0) {
+  const sim::FaultScheduleConfig faults = with_horizon(config.faults, config);
+  const sim::DeviceOutageGenerator generator(faults, config.seed);
+  scripted_ = sim::FaultInjector(sim::FaultSchedule(faults.scripted));
+  // Each device's episodes are a pure function of (config, seed, device
+  // id), so chunks build their events independently.
+  par::parallel_for_chunked(pool, chunks, chunks, [&](std::size_t c) {
+    const auto [begin, end] = par::chunk_range(devices_, chunks, c);
+    std::vector<std::uint64_t>& events = events_[c];
+    for (const sim::DeviceEpisode& d : generator.generate(begin, end)) {
+      const std::uint64_t on = first_step_at(d.episode.start_s);
+      const std::uint64_t off = first_step_at(d.episode.end_s);
+      if (on == off) continue;  // covers no step time of the run
+      const std::uint64_t slot =
+          ((d.device - begin) << 1) | (d.episode.fault == sim::FaultClass::kCloudOutage ? 1u : 0u);
+      events.push_back(on << 32 | slot);
+      if (off < steps_) events.push_back(off << 32 | slot);
+    }
+    std::sort(events.begin(), events.end());
+    events.shrink_to_fit();
+  });
+}
+
+std::size_t FaultOverlay::first_step_at(double x) const {
+  // The estimate is within a step of the answer; the exact comparison the
+  // step applies settles it.
+  const double q = std::ceil(x / step_s_);
+  std::size_t s = q < static_cast<double>(steps_) ? static_cast<std::size_t>(std::max(q, 0.0))
+                                                  : steps_;
+  while (s > 0 && static_cast<double>(s - 1) * step_s_ >= x) --s;
+  while (s < steps_ && static_cast<double>(s) * step_s_ < x) ++s;
+  return s;
+}
+
+void FaultOverlay::apply(std::size_t c, std::size_t s, double* tu) {
+  const auto [begin, end] = par::chunk_range(devices_, events_.size(), c);
+  const std::vector<std::uint64_t>& events = events_[c];
+  std::size_t& next = next_[c];
+  for (; next < events.size() && events[next] >> 32 <= s; ++next) {
+    const std::uint64_t slot = events[next] & 0xffffffffu;
+    bits_[begin + (slot >> 1)] ^= static_cast<std::uint8_t>(1u << (slot & 1));
+  }
+  // Link fades scale the reading; a cloud outage turns it into an outage
+  // reading (tu = 0) — an unreachable cloud is indistinguishable from a
+  // dead link at the device.
+  double shared = 1.0;
+  if (!scripted_.schedule().empty()) {
+    const double t = static_cast<double>(s) * step_s_;
+    if (scripted_.cloud_unavailable(t)) {
+      std::fill(tu + begin, tu + end, 0.0);
+      return;
+    }
+    shared = scripted_.link_factor(t);
+  }
+  const double faded = std::min(shared, depth_);
+  if (shared < 1.0) {
+    for (std::size_t i = begin; i < end; ++i) {
+      tu[i] = bits_[i] & 2 ? 0.0 : tu[i] * (bits_[i] & 1 ? faded : shared);
+    }
+    return;
+  }
+  for (std::size_t i = begin; i < end; ++i) {
+    if (bits_[i]) tu[i] = bits_[i] & 2 ? 0.0 : tu[i] * depth_;
+  }
+}
+
 void FleetEngine::validate() const {
   if (plan_.num_options() == 0) throw std::invalid_argument("FleetEngine: empty plan");
   if (config_.devices == 0) throw std::invalid_argument("FleetEngine: devices must be > 0");
   if (config_.steps == 0) throw std::invalid_argument("FleetEngine: steps must be > 0");
-  // Range checks are written so that NaN fails them.
-  const double inf = std::numeric_limits<double>::infinity();
-  if (!(config_.step_s > 0.0 && config_.step_s < inf)) {
+  // Step indices are 32-bit in the breakers and the fault events.
+  if (config_.steps > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("FleetEngine: steps must be below 2^32");
+  }
+  if (!check::positive_finite(config_.step_s)) {
     throw std::invalid_argument("FleetEngine: step_s must be finite and > 0");
   }
-  if (!(config_.device_qps > 0.0 && config_.device_qps < inf)) {
+  if (!check::positive_finite(config_.device_qps)) {
     throw std::invalid_argument("FleetEngine: device_qps must be finite and > 0");
   }
-  if (!(config_.hysteresis_margin >= 0.0 && config_.hysteresis_margin < inf)) {
+  if (!check::nonnegative_finite(config_.hysteresis_margin)) {
     throw std::invalid_argument("FleetEngine: hysteresis_margin must be finite and >= 0");
   }
-  if (!(config_.tu_min > 0.0 && config_.tu_max > config_.tu_min && config_.tu_max < inf)) {
+  if (!(check::positive_finite(config_.tu_min) && check::positive_finite(config_.tu_max) &&
+        config_.tu_max > config_.tu_min)) {
     throw std::invalid_argument("FleetEngine: need 0 < tu_min < tu_max, both finite");
   }
-  if (!(config_.sla_ms >= 0.0 && config_.sla_ms < inf)) {
+  if (!check::nonnegative_finite(config_.sla_ms)) {
     throw std::invalid_argument("FleetEngine: sla_ms must be finite and >= 0");
   }
   if (config_.cloud.has_value()) {
@@ -416,7 +416,7 @@ FleetEngine::FleetEngine(const core::DeploymentPlan& plan,
         std::to_string(hop_tu_mbps.size()));
   }
   for (std::size_t h = 1; h < hop_tu_mbps.size(); ++h) {
-    if (!(hop_tu_mbps[h] > 0.0) || !std::isfinite(hop_tu_mbps[h])) {
+    if (!check::positive_finite(hop_tu_mbps[h])) {
       throw std::invalid_argument(
           "FleetEngine: hop_tu_mbps entries past hop 0 (the backhauls) must be "
           "positive and finite");
@@ -514,7 +514,6 @@ class FleetEngine::Run {
 
  private:
   std::vector<std::uint64_t> priority_keys(std::uint64_t salt) const;
-  void overlay_faults(std::size_t begin, std::size_t end, double t);
   void clamp_and_offer_fog(std::size_t c, std::size_t begin, std::size_t end, std::size_t s);
   void count_cloud_offers(std::size_t c, std::size_t begin, std::size_t end, std::size_t s);
   std::uint32_t rung_below_fog(std::uint32_t r, std::uint32_t o) const;
@@ -542,7 +541,7 @@ class FleetEngine::Run {
   std::vector<double> estimate_, tu_, eff_;
   std::vector<std::uint32_t> samples_, outages_, option_, prev_, switch_count_;
   std::vector<core::PricedObjectives> priced_;  // one-hop oracle only
-  FaultCsr csr_;
+  std::optional<FaultOverlay> faults_;  // per-device faults, when any are on
   std::vector<std::uint32_t> region_of_;
   std::vector<std::uint32_t> offered_opt_;  // ladder-clamped, as offered to fog
   std::vector<std::uint32_t> eff_opt_;      // after fog admission
@@ -615,9 +614,7 @@ FleetEngine::Run::Run(const FleetEngine& engine, par::ThreadPool& pool)
       states_[i] = gen_.start_state(par::SplitMix64(par::substream_seed(cfg_.seed, i)));
     }
   });
-  // The fault build's transient shards set the run's peak memory, so every
-  // array below is allocated after it.
-  csr_ = build_fault_csr(cfg_, pool_, chunks_);
+  if (cfg_.faults.any_enabled()) faults_.emplace(cfg_, chunks_, pool_);
 
   if (cloud_on_) {
     cloud_sched_.emplace(*cfg_.cloud);
@@ -733,7 +730,6 @@ void FleetEngine::Run::region_health(std::size_t s) {
 }
 
 void FleetEngine::Run::select_and_offer(std::size_t s) {
-  const double t = static_cast<double>(s) * cfg_.step_s;
   par::parallel_for_chunked(pool_, chunks_, chunks_, [&](std::size_t c) {
     const auto [begin, end] = par::chunk_range(n_, chunks_, c);
     const std::size_t len = end - begin;
@@ -742,7 +738,7 @@ void FleetEngine::Run::select_and_offer(std::size_t s) {
     gen_.step_batch(&states_[begin], len, &tu_[begin]);
 
     // 2. Per-device fault overlay.
-    if (csr_.enabled) overlay_faults(begin, end, t);
+    if (faults_) faults_->apply(c, s, tu_.data());
 
     // 3. Tracker update (EWMA fold / outage decay) over the shard.
     runtime::tracker_update_batch(
@@ -767,27 +763,6 @@ void FleetEngine::Run::select_and_offer(std::size_t s) {
     clamp_and_offer_fog(c, begin, end, s);
     if (cloud_on_ && !fog_on_) count_cloud_offers(c, begin, end, s);
   });
-}
-
-/// Link fades scale the reading; a cloud outage turns it into an outage
-/// reading (tu = 0) — an unreachable cloud is indistinguishable from a
-/// dead link at the device.
-void FleetEngine::Run::overlay_faults(std::size_t begin, std::size_t end, double t) {
-  for (std::size_t i = begin; i < end; ++i) {
-    double factor = 1.0;
-    for (std::uint64_t j = csr_.link_off[i]; j < csr_.link_off[i + 1]; ++j) {
-      if (t >= csr_.link_start[j] && t < csr_.link_end[j]) {
-        factor = std::min(factor, csr_.link_depth[j]);
-      }
-    }
-    tu_[i] *= factor;
-    for (std::uint64_t j = csr_.cloud_off[i]; j < csr_.cloud_off[i + 1]; ++j) {
-      if (t >= csr_.cloud_start[j] && t < csr_.cloud_end[j]) {
-        tu_[i] = 0.0;
-        break;
-      }
-    }
-  }
 }
 
 /// Tier ladder, stage 1: walk each selection down to the deepest tier its

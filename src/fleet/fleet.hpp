@@ -215,6 +215,47 @@ struct FleetStats {
   std::string csv() const;
 };
 
+/// The per-device faults of a fleet run (FleetConfig::faults) as step
+/// events. A generated hop-0 link outage or cloud outage covers the steps s
+/// whose time double(s) * step_s lies in [start, end): each chunk keeps the
+/// first and the past-the-end step of those ranges as on/off events in step
+/// order, beside one fault-bit byte per device, so a step touches only the
+/// devices whose bits are set. Scripted episodes apply to every device, so
+/// each step reads them as one shared link factor and cloud flag. Memory is
+/// O(episodes), never O(covered device-steps).
+class FaultOverlay {
+ public:
+  /// Generates every device's episodes, `chunks` chunks of devices on
+  /// `pool` (faults.horizon_s <= 0: the run's length). An event holds a
+  /// device's offset in its chunk in 31 bits, so each chunk must hold fewer
+  /// than 2^31 devices. Throws std::invalid_argument on a bad fault knob or
+  /// scripted episode.
+  FaultOverlay(const FleetConfig& config, std::size_t chunks, par::ThreadPool& pool);
+
+  /// Step s on chunk c's devices of the fleet's readings `tu`: a link fade
+  /// scales a reading by the deepest covering depth, a cloud outage zeroes
+  /// it. Each chunk takes its steps in order from 0; chunks are independent
+  /// and may be applied concurrently.
+  void apply(std::size_t c, std::size_t s, double* tu);
+
+ private:
+  /// First step s in [0, steps] with double(s) * step_s >= x (steps if none).
+  std::size_t first_step_at(double x) const;
+
+  std::size_t devices_ = 0;
+  std::size_t steps_ = 0;
+  double step_s_ = 0.0;
+  double depth_ = 1.0;          ///< generated link outages' throughput multiplier
+  sim::FaultInjector scripted_;
+  /// Per chunk: (step << 32) | (device offset << 1) | class (0 link, 1 cloud),
+  /// sorted, and the first event not yet applied.
+  std::vector<std::vector<std::uint64_t>> events_;
+  std::vector<std::size_t> next_;
+  /// Per device: bit 0 a generated link outage, bit 1 a cloud outage covers
+  /// the chunk's current step.
+  std::vector<std::uint8_t> bits_;
+};
+
 /// Time-stepped fleet simulator over one compiled plan. Construction
 /// precomputes the cost curves and dominance intervals; run() owns the SoA
 /// device state and may be called repeatedly (each call restarts from the

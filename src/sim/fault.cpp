@@ -1,6 +1,7 @@
 #include "sim/fault.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -8,6 +9,7 @@
 #include <random>
 #include <stdexcept>
 
+#include "check/finite.hpp"
 #include "par/substream.hpp"
 
 namespace lens::sim {
@@ -30,7 +32,7 @@ void validate_episode(const FaultEpisode& e) {
       }
       break;
     case FaultClass::kRttSpike:
-      if (!(m >= 0.0 && m < kInf)) {
+      if (!check::nonnegative_finite(m)) {
         throw std::invalid_argument(
             "FaultSchedule: RTT spike must be finite, non-negative ms");
       }
@@ -127,10 +129,21 @@ class LazyMt19937_64 {
   static constexpr result_type min() { return Reference::min(); }
   static constexpr result_type max() { return Reference::max(); }
 
-  explicit LazyMt19937_64(result_type seed)
-      : seed_(seed), lo_(seed), lo_next_(seed_word(seed, 1)), hi_(lo_next_) {
-    for (std::size_t i = 2; i <= kPrefix; ++i) hi_ = seed_word(hi_, i);
+  /// Replaces each seed in `words` by its seed word 156. The chains are
+  /// independent, so walking them side by side overlaps their multiplies
+  /// instead of running ~156 of them back to back per stream.
+  template <std::size_t N>
+  static void seed_tops(std::array<result_type, N>& words) {
+    for (std::size_t i = 1; i <= kPrefix; ++i) {
+      for (result_type& w : words) w = seed_word(w, i);
+    }
   }
+
+  explicit LazyMt19937_64(result_type seed) : LazyMt19937_64(seed, top_of(seed)) {}
+
+  /// The engine for `seed`, given its seed word 156 (see seed_tops).
+  LazyMt19937_64(result_type seed, result_type top)
+      : seed_(seed), lo_(seed), lo_next_(seed_word(seed, 1)), hi_(top) {}
 
   result_type operator()() {
     if (drawn_ < kPrefix) return temper(prefix_word());
@@ -151,6 +164,12 @@ class LazyMt19937_64 {
     return Reference::initialization_multiplier *
                (prev ^ (prev >> (Reference::word_size - 2))) +
            i;
+  }
+
+  static result_type top_of(result_type seed) {
+    std::array<result_type, 1> word{seed};
+    seed_tops(word);
+    return word[0];
   }
 
   static result_type temper(result_type z) {
@@ -181,116 +200,134 @@ class LazyMt19937_64 {
   std::optional<Reference> tail_;
 };
 
-// NaN fails both.
-bool valid_rate(double hz) { return hz >= 0.0 && hz < kInf; }
-bool valid_mean(double s) { return s > 0.0 && s < kInf; }
+/// One renewal stream of a config: a class on a hop, its knobs and the salt
+/// of its RNG substream.
+struct RenewalStream {
+  FaultClass fault;
+  double rate_hz, mean_s, magnitude;
+  std::uint64_t salt;
+  std::size_t hop;
+};
+
+/// The nine classes' streams in generation order. One independent RNG
+/// substream per class (splitmix64-mixed class salt): enabling or tuning
+/// one class never perturbs another's episodes.
+std::array<RenewalStream, 9> class_streams(const FaultScheduleConfig& c) {
+  return {{
+      {FaultClass::kLinkOutage, c.link_outage_rate_hz, c.link_outage_mean_s,
+       c.link_outage_depth, 0x10c4, 0},
+      {FaultClass::kCloudOutage, c.cloud_outage_rate_hz, c.cloud_outage_mean_s, 0.0, 0x20c4, 0},
+      {FaultClass::kRttSpike, c.rtt_spike_rate_hz, c.rtt_spike_mean_s, c.rtt_spike_extra_ms,
+       0x30c4, 0},
+      {FaultClass::kEdgeSlowdown, c.edge_slowdown_rate_hz, c.edge_slowdown_mean_s,
+       c.edge_slowdown_factor, 0x40c4, 0},
+      // Datacenter-side classes: fresh salts, so every stream above is
+      // byte-identical whether or not these are enabled.
+      {FaultClass::kMachineFailure, c.machine_failure_rate_hz, c.machine_failure_mean_s,
+       c.machine_failure_fraction, 0x50c4, 0},
+      {FaultClass::kRegionalBrownout, c.brownout_rate_hz, c.brownout_mean_s, c.brownout_depth,
+       0x60c4, 0},
+      // Regional classes: fresh salts once more (0x70c4/0x80c4/0x90c4 are
+      // disjoint from every class salt above AND from every 0x10000*hop-offset
+      // backhaul stream below, which starts at 0x1_00c4), so all six legacy
+      // streams stay byte-identical whether or not a region enables these.
+      {FaultClass::kBackhaulBrownout, c.backhaul_brownout_rate_hz,
+       c.backhaul_brownout_mean_s, c.backhaul_brownout_depth, 0x70c4, c.backhaul_hop},
+      {FaultClass::kBackhaulOutage, c.backhaul_outage_rate_hz, c.backhaul_outage_mean_s, 0.0,
+       0x80c4, c.backhaul_hop},
+      {FaultClass::kFogSiteFailure, c.fog_failure_rate_hz, c.fog_failure_mean_s,
+       c.fog_failure_fraction, 0x90c4, 0},
+  }};
+}
+
+/// The streams of backhaul hop `hop` (extra_hops[hop - 1]). Salts are offset
+/// per hop (0x10000 * hop keeps them disjoint from every class salt), so the
+/// hop-0 schedule is byte-identical whether or not any backhaul class is on.
+std::array<RenewalStream, 2> hop_streams(const HopFaultConfig& h, std::size_t hop) {
+  const std::uint64_t offset = 0x10000ull * static_cast<std::uint64_t>(hop);
+  return {{{FaultClass::kLinkOutage, h.outage_rate_hz, h.outage_mean_s, h.outage_depth,
+            0x10c4 + offset, hop},
+           {FaultClass::kRttSpike, h.rtt_spike_rate_hz, h.rtt_spike_mean_s,
+            h.rtt_spike_extra_ms, 0x30c4 + offset, hop}}};
+}
+
+/// Every stream of `config` in generation order: fn(stream) per stream.
+template <typename Fn>
+void for_each_stream(const FaultScheduleConfig& config, Fn&& fn) {
+  for (const RenewalStream& s : class_streams(config)) fn(s);
+  for (std::size_t i = 0; i < config.extra_hops.size(); ++i) {
+    for (const RenewalStream& s : hop_streams(config.extra_hops[i], i + 1)) fn(s);
+  }
+}
+
+/// One stream's renewal process up to `horizon_s`: gaps ~ Exp(rate),
+/// durations ~ Exp(1 / mean); emit(start, end) per episode. Episodes within
+/// a stream never overlap.
+template <typename Emit>
+void renew(LazyMt19937_64& rng, const RenewalStream& s, double horizon_s, Emit&& emit) {
+  std::exponential_distribution<double> gap(s.rate_hz);
+  std::exponential_distribution<double> duration(1.0 / s.mean_s);
+  double t = gap(rng);
+  while (t < horizon_s) {
+    const double d = duration(rng);
+    emit(t, t + d);
+    t += d + gap(rng);
+  }
+}
 
 /// Shared episode-generation core: `base_seed` roots every class substream.
 /// generate() passes config.seed through unchanged (frozen legacy path);
 /// generate_for_device() passes the fleet-mixed per-device seed.
 FaultSchedule generate_with_base(const FaultScheduleConfig& config,
                                  std::uint64_t base_seed) {
-  if (config.horizon_s <= 0.0 || !std::isfinite(config.horizon_s)) {
-    throw std::invalid_argument("FaultSchedule::generate: horizon must be positive");
-  }
-  for (const double hz :
-       {config.link_outage_rate_hz, config.cloud_outage_rate_hz, config.rtt_spike_rate_hz,
-        config.edge_slowdown_rate_hz, config.machine_failure_rate_hz,
-        config.brownout_rate_hz, config.backhaul_brownout_rate_hz,
-        config.backhaul_outage_rate_hz, config.fog_failure_rate_hz}) {
-    if (!valid_rate(hz)) {
-      throw std::invalid_argument(
-          "FaultSchedule::generate: episode rates must be finite and >= 0");
-    }
-  }
-  for (const double s :
-       {config.link_outage_mean_s, config.cloud_outage_mean_s, config.rtt_spike_mean_s,
-        config.edge_slowdown_mean_s, config.machine_failure_mean_s, config.brownout_mean_s,
-        config.backhaul_brownout_mean_s, config.backhaul_outage_mean_s,
-        config.fog_failure_mean_s}) {
-    if (!valid_mean(s)) {
-      throw std::invalid_argument(
-          "FaultSchedule::generate: episode means must be finite and positive");
-    }
-  }
-  if ((config.backhaul_brownout_rate_hz > 0.0 ||
-       config.backhaul_outage_rate_hz > 0.0) &&
-      config.backhaul_hop == 0) {
-    throw std::invalid_argument(
-        "FaultSchedule::generate: backhaul classes need backhaul_hop >= 1");
-  }
-  for (const HopFaultConfig& hop : config.extra_hops) {
-    if (!valid_rate(hop.outage_rate_hz) || !valid_rate(hop.rtt_spike_rate_hz)) {
-      throw std::invalid_argument(
-          "FaultSchedule::generate: episode rates must be finite and >= 0");
-    }
-    if (!valid_mean(hop.outage_mean_s) || !valid_mean(hop.rtt_spike_mean_s)) {
-      throw std::invalid_argument(
-          "FaultSchedule::generate: episode means must be finite and positive");
-    }
-  }
+  validate(config);
   std::vector<FaultEpisode> episodes;
-
-  // One independent RNG substream per class (splitmix64-mixed class salt):
-  // enabling or tuning one class never perturbs another's episodes.
-  const auto renew = [&](FaultClass fault, double rate_hz, double mean_s,
-                         double magnitude, std::uint64_t salt, std::size_t hop) {
-    if (rate_hz <= 0.0) return;
-    // A bad magnitude throws even when the stream draws no episode.
-    validate_episode({fault, 0.0, 1.0, magnitude, hop});
-    LazyMt19937_64 rng(par::substream_seed(base_seed, salt));
-    std::exponential_distribution<double> gap(rate_hz);
-    std::exponential_distribution<double> duration(1.0 / mean_s);
-    // Renewal process: episodes within a class never overlap.
-    double t = gap(rng);
-    while (t < config.horizon_s) {
-      const double d = duration(rng);
-      episodes.push_back({fault, t, t + d, magnitude, hop});
-      t += d + gap(rng);
-    }
-  };
-  renew(FaultClass::kLinkOutage, config.link_outage_rate_hz, config.link_outage_mean_s,
-        config.link_outage_depth, 0x10c4, 0);
-  renew(FaultClass::kCloudOutage, config.cloud_outage_rate_hz, config.cloud_outage_mean_s,
-        0.0, 0x20c4, 0);
-  renew(FaultClass::kRttSpike, config.rtt_spike_rate_hz, config.rtt_spike_mean_s,
-        config.rtt_spike_extra_ms, 0x30c4, 0);
-  renew(FaultClass::kEdgeSlowdown, config.edge_slowdown_rate_hz,
-        config.edge_slowdown_mean_s, config.edge_slowdown_factor, 0x40c4, 0);
-  // Datacenter-side classes: fresh salts, so every stream above is
-  // byte-identical whether or not these are enabled.
-  renew(FaultClass::kMachineFailure, config.machine_failure_rate_hz,
-        config.machine_failure_mean_s, config.machine_failure_fraction, 0x50c4, 0);
-  renew(FaultClass::kRegionalBrownout, config.brownout_rate_hz,
-        config.brownout_mean_s, config.brownout_depth, 0x60c4, 0);
-  // Regional classes: fresh salts once more (0x70c4/0x80c4/0x90c4 are
-  // disjoint from every class salt above AND from every 0x10000*hop-offset
-  // backhaul stream below, which starts at 0x1_00c4), so all six legacy
-  // streams stay byte-identical whether or not a region enables these.
-  renew(FaultClass::kBackhaulBrownout, config.backhaul_brownout_rate_hz,
-        config.backhaul_brownout_mean_s, config.backhaul_brownout_depth, 0x70c4,
-        config.backhaul_hop);
-  renew(FaultClass::kBackhaulOutage, config.backhaul_outage_rate_hz,
-        config.backhaul_outage_mean_s, 0.0, 0x80c4, config.backhaul_hop);
-  renew(FaultClass::kFogSiteFailure, config.fog_failure_rate_hz,
-        config.fog_failure_mean_s, config.fog_failure_fraction, 0x90c4, 0);
-  // Backhaul hops: salts offset per hop (0x10000 * hop keeps them disjoint
-  // from every class salt above), so the hop-0 schedule is byte-identical
-  // whether or not any backhaul class is enabled.
-  for (std::size_t i = 0; i < config.extra_hops.size(); ++i) {
-    const HopFaultConfig& hc = config.extra_hops[i];
-    const std::size_t hop = i + 1;
-    const std::uint64_t offset = 0x10000ull * static_cast<std::uint64_t>(hop);
-    renew(FaultClass::kLinkOutage, hc.outage_rate_hz, hc.outage_mean_s, hc.outage_depth,
-          0x10c4 + offset, hop);
-    renew(FaultClass::kRttSpike, hc.rtt_spike_rate_hz, hc.rtt_spike_mean_s,
-          hc.rtt_spike_extra_ms, 0x30c4 + offset, hop);
-  }
+  for_each_stream(config, [&](const RenewalStream& s) {
+    if (s.rate_hz <= 0.0) return;
+    LazyMt19937_64 rng(par::substream_seed(base_seed, s.salt));
+    renew(rng, s, config.horizon_s, [&](double start, double end) {
+      episodes.push_back({s.fault, start, end, s.magnitude, s.hop});
+    });
+  });
   episodes.insert(episodes.end(), config.scripted.begin(), config.scripted.end());
   return FaultSchedule(std::move(episodes));
 }
 
 }  // namespace
+
+void validate(const FaultScheduleConfig& config) {
+  if (!check::positive_finite(config.horizon_s)) {
+    throw std::invalid_argument("FaultSchedule::generate: horizon must be positive");
+  }
+  // Rates, then means, of the nine classes, then of each backhaul hop.
+  const auto check_knobs = [](const auto& streams) {
+    for (const RenewalStream& s : streams) {
+      if (!check::nonnegative_finite(s.rate_hz)) {
+        throw std::invalid_argument(
+            "FaultSchedule::generate: episode rates must be finite and >= 0");
+      }
+    }
+    for (const RenewalStream& s : streams) {
+      if (!check::positive_finite(s.mean_s)) {
+        throw std::invalid_argument(
+            "FaultSchedule::generate: episode means must be finite and positive");
+      }
+    }
+  };
+  check_knobs(class_streams(config));
+  if ((config.backhaul_brownout_rate_hz > 0.0 || config.backhaul_outage_rate_hz > 0.0) &&
+      config.backhaul_hop == 0) {
+    throw std::invalid_argument(
+        "FaultSchedule::generate: backhaul classes need backhaul_hop >= 1");
+  }
+  for (std::size_t i = 0; i < config.extra_hops.size(); ++i) {
+    check_knobs(hop_streams(config.extra_hops[i], i + 1));
+  }
+  // A bad magnitude throws even when the stream draws no episode.
+  for_each_stream(config, [](const RenewalStream& s) {
+    if (s.rate_hz > 0.0) validate_episode({s.fault, 0.0, 1.0, s.magnitude, s.hop});
+  });
+}
 
 FaultSchedule FaultSchedule::generate(const FaultScheduleConfig& config) {
   return generate_with_base(config, static_cast<std::uint64_t>(config.seed));
@@ -309,6 +346,57 @@ FaultSchedule FaultSchedule::generate_for_region(const FaultScheduleConfig& conf
       config,
       par::substream_seed(par::substream_seed(fleet_seed, kRegionStreamSalt),
                           region_id));
+}
+
+DeviceOutageGenerator::DeviceOutageGenerator(const FaultScheduleConfig& config,
+                                             std::uint64_t fleet_seed)
+    : config_(config), fleet_seed_(fleet_seed) {
+  validate(config_);
+}
+
+std::vector<DeviceEpisode> DeviceOutageGenerator::generate(std::uint64_t first,
+                                                           std::uint64_t last) const {
+  // The enabled ones of the first two classes, link and cloud.
+  const std::array<RenewalStream, 9> all = class_streams(config_);
+  std::array<RenewalStream, 2> streams = {all[0], all[1]};
+  const std::size_t per_device = static_cast<std::size_t>(
+      std::remove_if(streams.begin(), streams.end(),
+                     [](const RenewalStream& s) { return s.rate_hz <= 0.0; }) -
+      streams.begin());
+  std::vector<DeviceEpisode> out;
+  if (per_device == 0) return out;
+
+  // Lanes of (device, class) streams in device-then-class order.
+  constexpr std::size_t kLanes = 8;
+  std::array<std::uint64_t, kLanes> lane_device{}, seeds{}, tops{};
+  std::array<const RenewalStream*, kLanes> lane_stream{};
+  std::uint64_t device = first;
+  std::size_t cls = 0;
+  std::uint64_t base_seed = par::substream_seed(fleet_seed_, device);
+  while (device < last) {
+    std::size_t lanes = 0;
+    for (; lanes < kLanes && device < last; ++lanes) {
+      lane_device[lanes] = device;
+      lane_stream[lanes] = &streams[cls];
+      seeds[lanes] = par::substream_seed(base_seed, streams[cls].salt);
+      if (++cls == per_device) {
+        cls = 0;
+        base_seed = par::substream_seed(fleet_seed_, ++device);
+      }
+    }
+    tops = seeds;  // lanes past `lanes` hold stale seeds: walked, never read
+    LazyMt19937_64::seed_tops(tops);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      const RenewalStream& s = *lane_stream[l];
+      LazyMt19937_64 rng(seeds[l], tops[l]);
+      renew(rng, s, config_.horizon_s, [&](double start, double end) {
+        const FaultEpisode episode{s.fault, start, end, s.magnitude, s.hop};
+        validate_episode(episode);
+        out.push_back({lane_device[l], episode});
+      });
+    }
+  }
+  return out;
 }
 
 std::size_t FaultSchedule::count(FaultClass fault) const {

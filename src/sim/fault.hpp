@@ -162,6 +162,40 @@ struct FaultScheduleConfig {
   }
 };
 
+/// Checks every generation knob of `config`: a positive finite horizon,
+/// finite non-negative rates, finite positive means, backhaul_hop >= 1 when
+/// a backhaul class is on, the per-hop knobs, and the magnitude of every
+/// enabled class, even one whose stream draws no episode. Scripted episodes
+/// are checked where they are merged. Throws std::invalid_argument.
+void validate(const FaultScheduleConfig& config);
+
+/// One generated episode of one fleet device.
+struct DeviceEpisode {
+  std::uint64_t device = 0;
+  FaultEpisode episode;
+};
+
+/// The per-device classes a fleet applies — hop-0 link outages and cloud
+/// outages — generated for whole device ranges. For each device it yields
+/// exactly the episodes of those two classes that
+/// FaultSchedule::generate_for_device(config, fleet_seed, device) generates,
+/// each checked like a schedule's episodes; scripted episodes are not
+/// repeated. The enabled class streams are seeded in lanes of eight (four
+/// devices' two streams), so their ~156-multiply seeding chains overlap.
+class DeviceOutageGenerator {
+ public:
+  /// Checks `config` once (validate()); throws std::invalid_argument.
+  DeviceOutageGenerator(const FaultScheduleConfig& config, std::uint64_t fleet_seed);
+
+  /// The episodes of devices [first, last) in device order: per device its
+  /// link outages, then its cloud outages, each in start order.
+  std::vector<DeviceEpisode> generate(std::uint64_t first, std::uint64_t last) const;
+
+ private:
+  FaultScheduleConfig config_;
+  std::uint64_t fleet_seed_;
+};
+
 /// An immutable, validated, start-time-sorted set of fault episodes.
 class FaultSchedule {
  public:

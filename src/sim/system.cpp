@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "check/finite.hpp"
 #include "cloud/scheduler.hpp"
 #include "par/substream.hpp"
 #include "runtime/deployer.hpp"
@@ -15,11 +16,8 @@ namespace lens::sim {
 
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-// NaN fails every check below.
-bool positive_finite(double x) { return x > 0.0 && x < kInf; }
-bool nonnegative_finite(double x) { return x >= 0.0 && x < kInf; }
+using check::nonnegative_finite;
+using check::positive_finite;
 
 void validate_config(const SimConfig& config, std::size_t num_options) {
   if (config.fixed_option >= num_options) {

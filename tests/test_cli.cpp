@@ -30,7 +30,7 @@ const std::vector<Option> kTable = {
     {"hop-bw", Kind::kList, "MBPS,...", {}, "list"},
     {"brownout", Kind::kList, "start,duration,depth", {}, "three entries", 3, 3},
     {"mode", Kind::kChoice, "lens|traditional", "lens", "choice"},
-    {"out", Kind::kPath, "FILE", {}, "path"},
+    {"out", Kind::kOutFile, "FILE", {}, "output file"},
     {"checkpoint", Kind::kPath, "DIR", {}, "path"},
     {"checkpoint-keep", Kind::kCount, "N", "3", "positive count", 1},
 };
@@ -119,6 +119,12 @@ TEST(Options, KindsRejectMalformedValues) {
   EXPECT_EQ(rejection({"--out"}), "--out expects a path, got no value");
   EXPECT_EQ(rejection({"--out", "--tu", "3"}), "--out expects a path, got no value");
   EXPECT_EQ(rejection({"--out="}), "--out expects a path, got ''");
+  // An output file's directory must exist; a checkpoint directory is made.
+  EXPECT_EQ(rejection({"--out", "no-such-dir/h.csv"}),
+            "--out expects a file in an existing directory, got 'no-such-dir/h.csv'");
+  const std::string tmp = ::testing::TempDir();
+  EXPECT_EQ(parse({"--out", tmp + "/h.csv"}).text("out"), tmp + "/h.csv");
+  EXPECT_NO_THROW(parse({"--checkpoint", "no-such-dir/ck"}));
 }
 
 TEST(Options, CountsAreWholeAndBounded) {
@@ -191,6 +197,7 @@ const char* malformed(Kind kind) {
     case Kind::kList: return "1,,2";
     case Kind::kChoice: return "bogus";
     case Kind::kPath: return "";
+    case Kind::kOutFile: return "no-such-dir/out.csv";
   }
   return "";
 }

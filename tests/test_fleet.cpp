@@ -7,6 +7,7 @@
 // historical numbers. FleetEngine determinism is pinned by byte-comparing
 // whole FleetStats CSV reports across thread counts.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -27,6 +28,7 @@
 #include "dnn/presets.hpp"
 #include "fleet/fleet.hpp"
 #include "io/io.hpp"
+#include "par/parallel.hpp"
 #include "par/substream.hpp"
 #include "par/thread_pool.hpp"
 #include "perf/predictor.hpp"
@@ -442,6 +444,9 @@ TEST(FleetEngine, Validation) {
   config = fleet::FleetConfig{};
   config.hysteresis_margin = -0.1;
   EXPECT_THROW(fleet::FleetEngine(plan, config), std::invalid_argument);
+  config = fleet::FleetConfig{};
+  config.steps = std::size_t{1} << 32;  // step indices are 32-bit
+  EXPECT_THROW(fleet::FleetEngine(plan, config), std::invalid_argument);
 
   // NaN and infinity fail every real-valued knob.
   using Knob = double fleet::FleetConfig::*;
@@ -463,6 +468,25 @@ TEST(FleetEngine, Validation) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("step_s"), std::string::npos) << e.what();
   }
+
+  // Per-device fault knobs are checked when run() generates the faults,
+  // including a magnitude of a class the fleet never applies.
+  const auto run_error = [&](const fleet::FleetConfig& bad) {
+    fleet::FleetEngine engine(plan, bad);
+    try {
+      engine.run();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  config = small_fleet_config();
+  config.faults.rtt_spike_rate_hz = 1.0 / 600.0;
+  config.faults.rtt_spike_extra_ms = -1.0;
+  EXPECT_EQ(run_error(config), "FaultSchedule: RTT spike must be finite, non-negative ms");
+  config = small_fleet_config();
+  config.faults.scripted = {{sim::FaultClass::kCloudOutage, 600.0, 600.0, 0.0}};
+  EXPECT_EQ(run_error(config), "FaultSchedule: episode needs 0 <= start < end");
 }
 
 // A fleet pushed through a scripted regional brownout: a healthy pool with
@@ -901,6 +925,134 @@ TEST(FleetEngine, RegionalDrillWalksTheTierLadderDeterministically) {
 }
 
 // ---------------------------------------------------------------------------
+// fleet::FaultOverlay -- per-device faults as step events
+// ---------------------------------------------------------------------------
+
+// `config` under fleet_fault_config's generated faults plus scripted
+// per-device episodes on exact step times: one spanning most of the run and
+// one on hop 1, which the fleet ignores.
+fleet::FleetConfig scripted_fault_fleet(fleet::FleetConfig config) {
+  config.faults = fleet_fault_config();
+  config.faults.horizon_s = 0.0;
+  const double step = config.step_s;
+  config.faults.scripted = {
+      {sim::FaultClass::kLinkOutage, 2 * step, 5 * step, 0.3},
+      {sim::FaultClass::kCloudOutage, 7 * step, 8 * step, 0.0},
+      {sim::FaultClass::kLinkOutage, 3 * step, 10 * step, 0.1, 1},
+      {sim::FaultClass::kLinkOutage, 0.0, 15 * step, 0.6},
+  };
+  return config;
+}
+
+// step_s 0.7, whose multiples are inexact, under episodes that span many
+// steps and a fault horizon of `horizon_runs` times the run's length.
+fleet::FleetConfig inexact_step_fleet(double horizon_runs) {
+  fleet::FleetConfig config = small_fleet_config();
+  config.devices = 2100;
+  config.steps = 40;
+  config.step_s = 0.7;
+  config.faults = fleet_fault_config();
+  config.faults.horizon_s = horizon_runs * 40 * 0.7;
+  config.faults.link_outage_rate_hz = 1.0 / 8.0;
+  config.faults.link_outage_mean_s = 5.0;
+  config.faults.cloud_outage_rate_hz = 1.0 / 20.0;
+  config.faults.cloud_outage_mean_s = 3.0;
+  config.faults.scripted = {{sim::FaultClass::kLinkOutage, 2.1, 4.2, 0.5},
+                            {sim::FaultClass::kCloudOutage, 7.0, 9.1, 0.0}};
+  return config;
+}
+
+// The per-device overlay as it stood before the step events, frozen: every
+// device's generate_for_device schedule in CSR layout, its hop-0 link fades
+// and cloud outages compared with the step time at every step. The oracle
+// FaultOverlay must match on every device-step.
+class EpisodeScanOverlay {
+ public:
+  explicit EpisodeScanOverlay(const fleet::FleetConfig& config) {
+    sim::FaultScheduleConfig faults = config.faults;
+    if (faults.horizon_s <= 0.0) {
+      faults.horizon_s = static_cast<double>(config.steps) * config.step_s;
+    }
+    link_off_.push_back(0);
+    cloud_off_.push_back(0);
+    for (std::size_t d = 0; d < config.devices; ++d) {
+      const sim::FaultSchedule schedule =
+          sim::FaultSchedule::generate_for_device(faults, config.seed, d);
+      for (const sim::FaultEpisode& e : schedule.episodes()) {
+        if (e.fault == sim::FaultClass::kLinkOutage && e.hop == 0) {
+          link_.push_back(e);
+        } else if (e.fault == sim::FaultClass::kCloudOutage) {
+          cloud_.push_back(e);
+        }
+      }
+      link_off_.push_back(link_.size());
+      cloud_off_.push_back(cloud_.size());
+    }
+  }
+
+  void apply(double t, std::vector<double>& tu) const {
+    for (std::size_t i = 0; i < tu.size(); ++i) {
+      double factor = 1.0;
+      for (std::size_t j = link_off_[i]; j < link_off_[i + 1]; ++j) {
+        if (t >= link_[j].start_s && t < link_[j].end_s) {
+          factor = std::min(factor, link_[j].magnitude);
+        }
+      }
+      tu[i] *= factor;
+      for (std::size_t j = cloud_off_[i]; j < cloud_off_[i + 1]; ++j) {
+        if (t >= cloud_[j].start_s && t < cloud_[j].end_s) {
+          tu[i] = 0.0;
+          break;
+        }
+      }
+    }
+  }
+
+ private:
+  std::vector<std::size_t> link_off_, cloud_off_;
+  std::vector<sim::FaultEpisode> link_, cloud_;
+};
+
+TEST(FaultOverlay, MatchesTheEpisodeScanOnEveryDeviceStep) {
+  fleet::FleetConfig hop1_only = small_fleet_config();
+  hop1_only.faults = sim::FaultScheduleConfig{};
+  hop1_only.faults.scripted = {{sim::FaultClass::kLinkOutage, 0.0, 900.0, 0.1, 1}};
+  const fleet::FleetConfig cases[] = {scripted_fault_fleet(small_fleet_config()),
+                                      inexact_step_fleet(0.5), inexact_step_fleet(3.0),
+                                      small_fleet_config(), hop1_only};
+  par::ThreadPool pool(3);
+  for (const fleet::FleetConfig& config : cases) {
+    const EpisodeScanOverlay oracle(config);
+    for (const std::size_t chunks : {fleet::FleetEngine::num_chunks(config.devices),
+                                     std::size_t{7}}) {
+      fleet::FaultOverlay overlay(config, chunks, pool);
+      std::vector<double> got(config.devices), want(config.devices);
+      std::size_t mismatches = 0, faded = 0, zeroed = 0;
+      for (std::size_t s = 0; s < config.steps; ++s) {
+        for (std::size_t i = 0; i < config.devices; ++i) {
+          got[i] = want[i] = 1.0 + 0.001 * static_cast<double>(i % 997);
+        }
+        par::parallel_for_chunked(pool, chunks, chunks,
+                                  [&](std::size_t c) { overlay.apply(c, s, got.data()); });
+        oracle.apply(static_cast<double>(s) * config.step_s, want);
+        for (std::size_t i = 0; i < config.devices; ++i) {
+          if (got[i] != want[i]) ++mismatches;
+          if (want[i] == 0.0) ++zeroed;
+          if (want[i] != 0.0 && want[i] != 1.0 + 0.001 * static_cast<double>(i % 997)) ++faded;
+        }
+      }
+      EXPECT_EQ(mismatches, 0u) << "step_s " << config.step_s << ", " << chunks << " chunks";
+      if (config.faults.link_outage_rate_hz > 0.0) {
+        EXPECT_GT(faded, 0u);
+        EXPECT_GT(zeroed, 0u);
+      } else {
+        EXPECT_EQ(faded + zeroed, 0u);  // a hop-1 episode never touches a reading
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // fleet::FleetEngine -- recorded report digests
 // ---------------------------------------------------------------------------
 
@@ -974,6 +1126,13 @@ TEST(FleetEngine, ReportsMatchRecordedDigests) {
   EXPECT_EQ(three_tier(region_faults), "de0450605e22efa8");
   EXPECT_EQ(three_tier(with_energy(regional_drill_config())), "7b90300161641cda");
   EXPECT_EQ(three_tier(healthy), "5bed2a050230254f");
+  // Per-device faults as step events: scripted episodes on step times, a
+  // hop-1 episode, an inexact step_s, and horizons either side of the run.
+  EXPECT_EQ(two_tier(alexnet_plan(), scripted_fault_fleet(small_fleet_config())),
+            "4ed6421696f28e2c");
+  EXPECT_EQ(three_tier(scripted_fault_fleet(regional_drill_config())), "4e166f77652cadc6");
+  EXPECT_EQ(two_tier(alexnet_plan(), inexact_step_fleet(0.5)), "c05a748ef48ce651");
+  EXPECT_EQ(two_tier(alexnet_plan(), inexact_step_fleet(3.0)), "a790014497cb0e05");
 }
 
 }  // namespace

@@ -634,6 +634,101 @@ TEST(FaultSchedule, MatchesMt19937ReferenceOnStreamsLongerThanTheState) {
   EXPECT_GT(*std::min_element(draws.begin(), draws.end()), 312u);
 }
 
+/// DeviceOutageGenerator over devices [first, last) against
+/// generate_for_device, filtered to the generated hop-0 link and cloud
+/// episodes: device, class, times, magnitude and hop, episode for episode.
+/// Returns the longest per-device class stream it saw, in episodes.
+std::size_t expect_generator_matches_schedules(const FaultScheduleConfig& config,
+                                               std::uint64_t fleet_seed, std::uint64_t first,
+                                               std::uint64_t last) {
+  const std::vector<DeviceEpisode> got =
+      DeviceOutageGenerator(config, fleet_seed).generate(first, last);
+  std::vector<DeviceEpisode> want;
+  std::size_t longest = 0;
+  for (std::uint64_t d = first; d < last; ++d) {
+    const FaultSchedule schedule = FaultSchedule::generate_for_device(config, fleet_seed, d);
+    std::vector<FaultEpisode> scripted = config.scripted;  // merged in, not generated
+    for (const FaultClass fault : {FaultClass::kLinkOutage, FaultClass::kCloudOutage}) {
+      std::size_t stream = 0;
+      for (const FaultEpisode& e : schedule.episodes()) {
+        if (e.fault != fault || (fault == FaultClass::kLinkOutage && e.hop != 0)) continue;
+        const auto same = std::find_if(scripted.begin(), scripted.end(), [&](const auto& x) {
+          return x.fault == e.fault && x.start_s == e.start_s && x.end_s == e.end_s &&
+                 x.magnitude == e.magnitude && x.hop == e.hop;
+        });
+        if (same != scripted.end()) {
+          scripted.erase(same);
+          continue;
+        }
+        want.push_back({d, e});
+        ++stream;
+      }
+      longest = std::max(longest, stream);
+    }
+  }
+  EXPECT_EQ(got.size(), want.size()) << "devices " << first << ".." << last;
+  for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+    EXPECT_EQ(got[i].device, want[i].device) << "episode " << i;
+    EXPECT_EQ(got[i].episode.fault, want[i].episode.fault) << "episode " << i;
+    EXPECT_EQ(got[i].episode.start_s, want[i].episode.start_s) << "episode " << i;
+    EXPECT_EQ(got[i].episode.end_s, want[i].episode.end_s) << "episode " << i;
+    EXPECT_EQ(got[i].episode.magnitude, want[i].episode.magnitude) << "episode " << i;
+    EXPECT_EQ(got[i].episode.hop, want[i].episode.hop) << "episode " << i;
+  }
+  return longest;
+}
+
+TEST(DeviceOutageGenerator, MatchesPerDeviceSchedulesEpisodeForEpisode) {
+  FaultScheduleConfig both;
+  both.horizon_s = 4800.0;
+  both.link_outage_rate_hz = 1.0 / 600.0;
+  both.link_outage_mean_s = 120.0;
+  both.cloud_outage_rate_hz = 1.0 / 900.0;
+  both.cloud_outage_mean_s = 180.0;
+  FaultScheduleConfig link_only = both;
+  link_only.cloud_outage_rate_hz = 0.0;
+  FaultScheduleConfig cloud_only = both;
+  cloud_only.link_outage_rate_hz = 0.0;
+  // Every other per-device knob on: classes and hops the generator skips,
+  // and scripted episodes of its own two classes on hops 0 and 1.
+  FaultScheduleConfig crowded = both;
+  crowded.rtt_spike_rate_hz = 1.0 / 500.0;
+  crowded.edge_slowdown_rate_hz = 1.0 / 700.0;
+  HopFaultConfig hop;
+  hop.outage_rate_hz = 1.0 / 400.0;
+  hop.rtt_spike_rate_hz = 1.0 / 800.0;
+  crowded.extra_hops = {hop};
+  crowded.scripted = {{FaultClass::kLinkOutage, 600.0, 900.0, 0.2},
+                      {FaultClass::kLinkOutage, 300.0, 1200.0, 0.1, 1},
+                      {FaultClass::kCloudOutage, 1500.0, 1800.0, 0.0}};
+  // Ranges whose start and length are not multiples of the four-device lanes.
+  const std::pair<std::uint64_t, std::uint64_t> ranges[] = {
+      {0, 1}, {3, 16}, {5, 6}, {7, 7}, {1021, 1058}, {4096, 4101}};
+  for (const FaultScheduleConfig& config : {both, link_only, cloud_only, crowded}) {
+    for (const std::uint64_t seed : {1ull, 2ull, 77ull, 0xdeadbeefull}) {
+      for (const auto& [first, last] : ranges) {
+        expect_generator_matches_schedules(config, seed, first, last);
+      }
+    }
+  }
+  // Streams of ~100 episodes draw ~200 values, past the 156-draw handoff to
+  // the reference engine.
+  FaultScheduleConfig dense = both;
+  dense.horizon_s = 100.0;
+  dense.link_outage_rate_hz = 1.0;
+  dense.link_outage_mean_s = 0.01;
+  dense.cloud_outage_rate_hz = 1.0;
+  dense.cloud_outage_mean_s = 0.01;
+  EXPECT_GT(expect_generator_matches_schedules(dense, 9, 2, 13), 78u);
+  // The knobs are checked once, when the generator is made.
+  FaultScheduleConfig bad = both;
+  bad.link_outage_depth = 0.0;
+  EXPECT_THROW(DeviceOutageGenerator(bad, 1), std::invalid_argument);
+  bad = both;
+  bad.horizon_s = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(DeviceOutageGenerator(bad, 1), std::invalid_argument);
+}
+
 TEST(FaultSchedule, Validation) {
   FaultScheduleConfig config;
   config.link_outage_rate_hz = 0.1;
